@@ -22,6 +22,7 @@ from .sim import (
 from .ansatz import AnsatzSpec, ParamVector, build_circuit, encode_input, param_shift_grad
 from .attention import (
     AttentionMatrix,
+    LayerTrace,
     ObservableSet,
     QsalLayerParams,
     gpqsa_coefficients,
@@ -36,6 +37,7 @@ __all__ = [
     "AttentionMatrix",
     "DensityMatrix",
     "Gate",
+    "LayerTrace",
     "ModelConfig",
     "NoiseChannel",
     "ObservableSet",

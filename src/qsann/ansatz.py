@@ -95,12 +95,19 @@ def build_circuit(spec: AnsatzSpec, params) -> list[Gate]:
     return gates
 
 
-def run_ansatz_batch(amps: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
+def run_ansatz_batch(
+    amps: np.ndarray, spec: AnsatzSpec, angles, rotate=None, cnot=None
+) -> np.ndarray:
     """Apply the ansatz to a (batch, 2**n) array.
 
     ``angles`` is either one vector of length param_count shared across the
     batch, or a (batch, param_count) array with one angle row per state.
+    ``rotate(arr, kind, qubit, angles, n)`` and ``cnot(arr, control, target,
+    n)`` default to the statevector kernels; passing the density-matrix ones
+    runs the same circuit on a (batch, 2**n, 2**n) array.
     """
+    rotate = rotate or apply_rotation_batch
+    cnot = cnot or apply_cnot_batch
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape[-1] != spec.param_count:
         raise ConfigurationError(
@@ -108,16 +115,16 @@ def run_ansatz_batch(amps: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
         )
     n = spec.n_qubits
     for q in range(n):
-        amps = apply_rotation_batch(amps, "RX", q, angles[..., q], n)
+        amps = rotate(amps, "RX", q, angles[..., q], n)
     for q in range(n):
-        amps = apply_rotation_batch(amps, "RY", q, angles[..., n + q], n)
+        amps = rotate(amps, "RY", q, angles[..., n + q], n)
     for block in range(spec.depth):
         if n > 1:
             for q in range(n):
-                amps = apply_cnot_batch(amps, q, (q + 1) % n, n)
+                amps = cnot(amps, q, (q + 1) % n, n)
         offset = 2 * n + block * n
         for q in range(n):
-            amps = apply_rotation_batch(amps, "RY", q, angles[..., offset + q], n)
+            amps = rotate(amps, "RY", q, angles[..., offset + q], n)
     return amps
 
 
@@ -162,12 +169,3 @@ def param_shift_grad(
     plus, minus = expectation_batch(amps, obs, spec.n_qubits)
     return float(plus - minus) / 2.0
 
-
-def shifted_angle_stack(angles: np.ndarray) -> np.ndarray:
-    """(P, 2, P) stack of angle vectors with entry j shifted by +/- pi/2."""
-    count = angles.shape[0]
-    stack = np.broadcast_to(angles, (count, 2, count)).copy()
-    idx = np.arange(count)
-    stack[idx, 0, idx] += np.pi / 2.0
-    stack[idx, 1, idx] -= np.pi / 2.0
-    return stack

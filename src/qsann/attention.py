@@ -19,20 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParamVector, run_ansatz_batch
+from .ansatz import AnsatzSpec, ParamVector, encode_batch, run_ansatz_batch
 from .errors import ConfigurationError, EmptySequenceError
 from .sim import (
     Gate,
     NoiseChannel,
     PauliString,
     apply_channel_batch,
+    apply_cnot_dm_batch,
     apply_gate_dm_batch,
-    apply_hadamard_layer_batch,
     apply_rotation_dm_batch,
     expectation_batch,
     expectation_dm_batch,
     zero_density_batch,
-    zero_state_batch,
 )
 
 
@@ -184,9 +183,7 @@ class PureEngine:
         self.n_qubits = n_qubits
 
     def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec) -> np.ndarray:
-        amps = zero_state_batch(self.n_qubits, inputs.shape[0])
-        amps = apply_hadamard_layer_batch(amps, self.n_qubits)
-        return run_ansatz_batch(amps, enc_spec, inputs)
+        return encode_batch(inputs, enc_spec)
 
     def apply(self, states: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
         return run_ansatz_batch(states, spec, angles)
@@ -208,54 +205,28 @@ class NoisyEngine:
         self.n_qubits = n_qubits
         self.channel = channel
 
-    def _noise_all(self, rhos: np.ndarray) -> np.ndarray:
+    def _noisy_ansatz(self, rhos: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
+        rhos = run_ansatz_batch(
+            rhos, spec, angles, apply_rotation_dm_batch, apply_cnot_dm_batch
+        )
         for q in range(self.n_qubits):
             rhos = apply_channel_batch(rhos, self.channel, q, self.n_qubits)
-        return rhos
-
-    def _run(self, rhos: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.shape[-1] != spec.param_count:
-            raise ConfigurationError(
-                f"expected {spec.param_count} angles, got shape {angles.shape}"
-            )
-        n = self.n_qubits
-        for q in range(n):
-            rhos = apply_rotation_dm_batch(rhos, "RX", q, angles[..., q], n)
-        for q in range(n):
-            rhos = apply_rotation_dm_batch(rhos, "RY", q, angles[..., n + q], n)
-        for block in range(spec.depth):
-            if n > 1:
-                for q in range(n):
-                    rhos = _dm_cnot(rhos, q, (q + 1) % n, n)
-            offset = 2 * n + block * n
-            for q in range(n):
-                rhos = apply_rotation_dm_batch(rhos, "RY", q, angles[..., offset + q], n)
         return rhos
 
     def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec) -> np.ndarray:
         rhos = zero_density_batch(self.n_qubits, inputs.shape[0])
         for q in range(self.n_qubits):
-            rhos = _dm_hadamard(rhos, q, self.n_qubits)
-        rhos = self._run(rhos, enc_spec, inputs)
-        return self._noise_all(rhos)
+            rhos = apply_gate_dm_batch(rhos, Gate("H", q), self.n_qubits)
+        return self._noisy_ansatz(rhos, enc_spec, inputs)
 
     def apply(self, states: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
-        return self._noise_all(self._run(states, spec, angles))
+        return self._noisy_ansatz(states, spec, angles)
 
     def expect(self, states: np.ndarray, obs: PauliString) -> np.ndarray:
         return np.clip(expectation_dm_batch(states, obs, self.n_qubits), -1.0, 1.0)
 
     def expect_set(self, states: np.ndarray, obs_set: ObservableSet) -> np.ndarray:
         return np.stack([self.expect(states, obs) for obs in obs_set.observables], axis=1)
-
-
-def _dm_hadamard(rhos: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    return apply_gate_dm_batch(rhos, Gate("H", qubit), n_qubits)
-
-
-def _dm_cnot(rhos: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
-    return apply_gate_dm_batch(rhos, Gate("CNOT", target, control=control), n_qubits)
 
 
 def make_engine(n_qubits: int, noise: NoiseChannel | None):
@@ -287,58 +258,12 @@ def _check_inputs(inputs, params: QsalLayerParams) -> np.ndarray:
 def _maybe_sample(values: np.ndarray, shots, rng) -> np.ndarray:
     if shots is None:
         return values
+    if shots < 1:
+        raise ConfigurationError(f"shots must be at least 1, got {shots}")
     if rng is None:
         raise ConfigurationError("shot sampling needs an rng")
     p_plus = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
     return 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
-
-
-def query_key_expectations(
-    inputs,
-    params: QsalLayerParams,
-    noise: NoiseChannel | None = None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-word <Z_1> after the query circuit and after the key circuit."""
-    xs = _check_inputs(inputs, params)
-    engine = make_engine(params.n_qubits, noise)
-    encoded = engine.prepare(xs, params.enc_spec)
-    z1 = z1_observable(params.n_qubits)
-    zq = engine.expect(engine.apply(encoded, params.qkv_spec, params.theta_q.values), z1)
-    zk = engine.expect(engine.apply(encoded, params.qkv_spec, params.theta_k.values), z1)
-    return _maybe_sample(zq, shots, rng), _maybe_sample(zk, shots, rng)
-
-
-def value_vector(
-    x,
-    params: QsalLayerParams,
-    obs: ObservableSet,
-    noise: NoiseChannel | None = None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Pauli expectations of the value circuit for one input vector."""
-    return value_matrix(np.atleast_2d(x), params, obs, noise, shots, rng)[0]
-
-
-def value_matrix(
-    inputs,
-    params: QsalLayerParams,
-    obs: ObservableSet,
-    noise: NoiseChannel | None = None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    xs = _check_inputs(inputs, params)
-    if obs.n_qubits != params.n_qubits:
-        raise ConfigurationError("observables and layer disagree on qubit count")
-    engine = make_engine(params.n_qubits, noise)
-    encoded = engine.prepare(xs, params.enc_spec)
-    values = engine.expect_set(
-        engine.apply(encoded, params.qkv_spec, params.theta_v.values), obs
-    )
-    return _maybe_sample(values, shots, rng)
 
 
 def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
@@ -353,6 +278,23 @@ def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
     return AttentionMatrix(raw / raw.sum(axis=1, keepdims=True))
 
 
+@dataclass(frozen=True)
+class LayerTrace:
+    """Everything one layer forward computed, as the backward pass needs it.
+
+    ``zq``, ``zk`` and ``values`` are the (possibly shot-sampled)
+    expectations the attention and the outputs were formed from.
+    """
+
+    inputs: np.ndarray  # (S, d) layer inputs
+    encoded: np.ndarray  # encoder states, one per word
+    zq: np.ndarray  # (S,) <Z_1> after the query circuit
+    zk: np.ndarray  # (S,) <Z_1> after the key circuit
+    values: np.ndarray  # (S, d) value-circuit expectations
+    attention: AttentionMatrix
+    outputs: np.ndarray  # (S, d) residual outputs
+
+
 def layer_forward(
     inputs,
     params: QsalLayerParams,
@@ -360,8 +302,8 @@ def layer_forward(
     noise: NoiseChannel | None = None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, AttentionMatrix]:
-    """Residual layer output (S, d) plus the attention matrix.
+) -> LayerTrace:
+    """One attention layer: y_s = x_s + sum_j coeff[s, j] * o_j, with its trace.
 
     Encoder states are prepared once per word and reused across the three
     measurement circuits.
@@ -384,4 +326,4 @@ def layer_forward(
     values = _maybe_sample(values, shots, rng)
     attention = gpqsa_coefficients(zq, zk)
     outputs = xs + attention.coefficients @ values
-    return outputs, attention
+    return LayerTrace(xs, encoded, zq, zk, values, attention, outputs)

@@ -102,16 +102,6 @@ def init_naive(
     )
 
 
-def _check_ids(sequence, vocab_size: int) -> list[int]:
-    ids = list(sequence)
-    if not ids:
-        raise EmptySequenceError("cannot classify an empty sequence")
-    for t in ids:
-        if not 0 <= t < vocab_size:
-            raise IndexError(f"token id {t} outside vocabulary")
-    return ids
-
-
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -131,13 +121,13 @@ def _csann_intermediates(ids, params: CsannParams):
 
 
 def csann_forward(sequence, params: CsannParams) -> Prediction:
-    ids = _check_ids(sequence, params.embeddings.vocab_size)
+    ids = params.embeddings.check_ids(sequence)
     *_, attn, _, _, y_hat = _csann_intermediates(ids, params)
     return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=[AttentionMatrix(attn)])
 
 
 def naive_forward(sequence, params: NaiveParams) -> Prediction:
-    ids = _check_ids(sequence, params.embeddings.vocab_size)
+    ids = params.embeddings.check_ids(sequence)
     pooled = params.embeddings.rows[ids].mean(axis=0)
     y_hat = sigmoid(float(params.head_w @ pooled + params.head_b[0]))
     return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=[])
@@ -174,7 +164,7 @@ def naive_loss(batch, params: NaiveParams) -> float:
 
 def csann_backward(sample, params: CsannParams) -> dict[str, np.ndarray]:
     ids, label = sample
-    ids = _check_ids(ids, params.embeddings.vocab_size)
+    ids = params.embeddings.check_ids(ids)
     xs, queries, keys, values, attn, _, pooled, y_hat = _csann_intermediates(ids, params)
     n_words, d = xs.shape
     sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
@@ -208,7 +198,7 @@ def csann_backward(sample, params: CsannParams) -> dict[str, np.ndarray]:
 
 def naive_backward(sample, params: NaiveParams) -> dict[str, np.ndarray]:
     ids, label = sample
-    ids = _check_ids(ids, params.embeddings.vocab_size)
+    ids = params.embeddings.check_ids(ids)
     xs = params.embeddings.rows[ids]
     n_words, d = xs.shape
     pooled = xs.mean(axis=0)

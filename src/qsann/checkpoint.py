@@ -10,17 +10,16 @@ compatible splits.  Any format change requires a schema version bump.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
 
-from .attention import ObservableSet, QsalLayerParams
-from .ansatz import AnsatzSpec, ParamVector
-from .baselines import CsannParams, NaiveParams
-from .data import EmbeddingTable, Vocabulary
+from .attention import ObservableSet
+from .data import Vocabulary
 from .errors import ParseError
-from .model import ModelConfig, QsannModel
 from .sim import PauliString
+from .training import MODEL_KINDS, kind_of
 
 SCHEMA_VERSION = 1
 
@@ -42,105 +41,53 @@ def _decode_array(obj: dict) -> np.ndarray:
         raise ParseError(f"malformed parameter array: {exc}") from exc
 
 
-def _model_payload(model) -> dict:
-    if isinstance(model, QsannModel):
-        cfg = model.config
-        return {
-            "model_kind": "qsann",
-            "model_config": {
-                "n_qubits": cfg.n_qubits,
-                "enc_depth": cfg.enc_depth,
-                "qkv_depth": cfg.qkv_depth,
-                "n_layers": cfg.n_layers,
-                "lam": cfg.lam,
-                "gamma": cfg.gamma,
-            },
-            "observables": [str(obs) for obs in model.observables.observables],
-            "params": {
-                **{
-                    f"layer{i}.{name}": _encode_array(getattr(layer, name).values)
-                    for i, layer in enumerate(model.layers)
-                    for name in ("theta_q", "theta_k", "theta_v")
-                },
-                "head_w": _encode_array(model.head_w),
-                "head_b": _encode_array(model.head_b),
-                "embeddings": _encode_array(model.embeddings.rows),
-            },
-        }
-    if isinstance(model, CsannParams):
-        return {
-            "model_kind": "csann",
-            "model_config": {
-                "dim": model.dim,
-                "lam": model.lam,
-                "gamma": model.gamma,
-            },
-            "params": {
-                "w_query": _encode_array(model.w_query),
-                "w_key": _encode_array(model.w_key),
-                "w_value": _encode_array(model.w_value),
-                "head_w": _encode_array(model.head_w),
-                "head_b": _encode_array(model.head_b),
-                "embeddings": _encode_array(model.embeddings.rows),
-            },
-        }
-    if isinstance(model, NaiveParams):
-        return {
-            "model_kind": "naive",
-            "model_config": {
-                "dim": model.dim,
-                "lam": model.lam,
-                "gamma": model.gamma,
-            },
-            "params": {
-                "head_w": _encode_array(model.head_w),
-                "head_b": _encode_array(model.head_b),
-                "embeddings": _encode_array(model.embeddings.rows),
-            },
-        }
-    raise ParseError(f"cannot checkpoint a {type(model).__name__}")
-
-
 def save_checkpoint(path, model, vocabulary: Vocabulary, dataset_meta: dict) -> None:
+    kind = kind_of(model)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        **_model_payload(model),
+        "model_kind": kind.name,
+        "model_config": kind.settings(model),
+        "params": {key: _encode_array(arr) for key, arr in kind.params(model).items()},
         "vocabulary": list(vocabulary.id_to_token),
         "vocab_sha256": vocabulary.content_hash(),
         "dataset": dataset_meta,
     }
+    observables = getattr(model, "observables", None)
+    if observables is not None:
+        doc["observables"] = [str(obs) for obs in observables.observables]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True)
         handle.write("\n")
 
 
-def _build_qsann(doc: dict) -> QsannModel:
-    cfg = ModelConfig(**doc["model_config"])
-    params = doc["params"]
-    spec = AnsatzSpec(cfg.n_qubits, cfg.qkv_depth)
-    layers = [
-        QsalLayerParams(
-            cfg.n_qubits,
-            cfg.enc_depth,
-            cfg.qkv_depth,
-            *(
-                ParamVector(spec, _decode_array(params[f"layer{i}.{name}"]))
-                for name in ("theta_q", "theta_k", "theta_v")
-            ),
+def _build_model(doc: dict):
+    """A model of the stored kind and shape, filled from the stored arrays."""
+    kind = MODEL_KINDS.get(doc["model_kind"])
+    if kind is None:
+        raise ParseError(f"unknown model kind {doc['model_kind']!r}")
+    vocabulary = Vocabulary(list(doc["vocabulary"]))
+    if vocabulary.content_hash() != doc["vocab_sha256"]:
+        raise ParseError("vocab_sha256 does not match the stored vocabulary")
+    model = kind.init(doc["model_config"], vocabulary.size, np.random.default_rng(0))
+    if "observables" in doc:
+        observables = tuple(PauliString.from_str(text) for text in doc["observables"])
+        model = dataclasses.replace(model, observables=ObservableSet(observables))
+    params = kind.params(model)
+    if set(doc["params"]) != set(params):
+        raise ParseError(
+            f"{kind.name} checkpoint needs arrays {sorted(params)}, "
+            f"found {sorted(doc['params'])}"
         )
-        for i in range(cfg.n_layers)
-    ]
-    observables = ObservableSet(
-        tuple(PauliString.from_str(text) for text in doc["observables"])
-    )
-    return QsannModel(
-        config=cfg,
-        layers=layers,
-        head_w=_decode_array(params["head_w"]),
-        head_b=_decode_array(params["head_b"]),
-        embeddings=EmbeddingTable(_decode_array(params["embeddings"])),
-        observables=observables,
-    )
+    for key, param in params.items():
+        stored = _decode_array(doc["params"][key])
+        if stored.shape != param.shape:
+            raise ParseError(
+                f"{key} has shape {stored.shape}, the model config implies {param.shape}"
+            )
+        if not np.all(np.isfinite(stored)):
+            raise ParseError(f"{key} holds non-finite values")
+        param[...] = stored
+    return model, vocabulary
 
 
 def load_checkpoint(path):
@@ -154,34 +101,7 @@ def load_checkpoint(path):
         version = doc["schema_version"]
         if version != SCHEMA_VERSION:
             raise ParseError(f"unsupported checkpoint schema version {version}")
-        kind = doc["model_kind"]
-        params = doc["params"]
-        if kind == "qsann":
-            model = _build_qsann(doc)
-        elif kind == "csann":
-            cfg = doc["model_config"]
-            model = CsannParams(
-                w_query=_decode_array(params["w_query"]),
-                w_key=_decode_array(params["w_key"]),
-                w_value=_decode_array(params["w_value"]),
-                head_w=_decode_array(params["head_w"]),
-                head_b=_decode_array(params["head_b"]),
-                embeddings=EmbeddingTable(_decode_array(params["embeddings"])),
-                lam=cfg["lam"],
-                gamma=cfg["gamma"],
-            )
-        elif kind == "naive":
-            cfg = doc["model_config"]
-            model = NaiveParams(
-                head_w=_decode_array(params["head_w"]),
-                head_b=_decode_array(params["head_b"]),
-                embeddings=EmbeddingTable(_decode_array(params["embeddings"])),
-                lam=cfg["lam"],
-                gamma=cfg["gamma"],
-            )
-        else:
-            raise ParseError(f"unknown model kind {kind!r}")
-        vocabulary = Vocabulary(list(doc["vocabulary"]))
+        model, vocabulary = _build_model(doc)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, checkpoint, data, model as model_mod, training
+from . import checkpoint, data, model as model_mod, training
 from .errors import ConfigurationError, ParseError, QsannError
 from .sim import NoiseChannel
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "QSANN_OUTPUT_ROOT"
-MODEL_KINDS = ("qsann", "csann", "naive")
+MODEL_KINDS = tuple(training.MODEL_KINDS)
 NOISE_KINDS = ("depolarizing", "amplitude_damping")
 
 
@@ -63,6 +63,10 @@ class RunConfig:
     noise_p: float | None = None
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigurationError(f"model must be one of {MODEL_KINDS}")
         if not self.dataset_path:
@@ -124,6 +128,22 @@ class RunConfig:
         if "dataset_path" not in values:
             raise ConfigurationError("dataset_path is required")
         return cls(**values)
+
+
+_SCALAR_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a config value fits a field annotation such as ``list[int] | None``."""
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(value, annotation[: -len(" | None")])
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(
+            _has_type(item, annotation[5:-1]) for item in value
+        )
+    if isinstance(value, bool) and annotation != "bool":
+        return False
+    return isinstance(value, _SCALAR_TYPES[annotation])
 
 
 def load_preset(name: str) -> dict:
@@ -218,30 +238,9 @@ def _dataset_manifest(cfg: RunConfig, dataset: data.Dataset) -> dict:
 
 
 def _init_model(cfg: RunConfig, vocab_size: int, seed: int):
-    rng = np.random.default_rng(seed)
-    if cfg.model == "qsann":
-        model_config = model_mod.ModelConfig(
-            n_qubits=cfg.n_qubits,
-            enc_depth=cfg.enc_depth,
-            qkv_depth=cfg.qkv_depth,
-            n_layers=cfg.n_layers,
-            lam=cfg.lam,
-            gamma=cfg.gamma,
-        )
-        return model_mod.init_model(model_config, vocab_size, rng)
-    if cfg.model == "csann":
-        return baselines.init_csann(vocab_size, cfg.embed_dim, rng, cfg.lam, cfg.gamma)
-    return baselines.init_naive(vocab_size, cfg.embed_dim, rng, cfg.lam, cfg.gamma)
-
-
-def _parameter_count(cfg: RunConfig, model) -> dict:
-    if cfg.model == "qsann":
-        qkv, head, total = model_mod.parameter_count(model)
-    elif cfg.model == "csann":
-        qkv, head, total = baselines.csann_parameter_count(cfg.embed_dim)
-    else:
-        qkv, head, total = baselines.naive_parameter_count(cfg.embed_dim)
-    return {"qkv": qkv, "head": head, "total": total}
+    settings = {**cfg.to_dict(), "dim": cfg.embed_dim}
+    kind = training.MODEL_KINDS[cfg.model]
+    return kind.init(settings, vocab_size, np.random.default_rng(seed))
 
 
 def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dir: Path) -> dict:
@@ -289,11 +288,11 @@ def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dir: Path) -> dic
         )
         any_aborted = any_aborted or result.aborted
     test_accs = [row["final_test_acc"] for row in per_seed if row["final_test_acc"] is not None]
-    sample_model = _init_model(cfg, dataset.vocabulary.size, cfg.seeds[0])
+    qkv, head, total = training.MODEL_KINDS[cfg.model].parameter_count(model)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "model": cfg.model,
-        "parameter_count": _parameter_count(cfg, sample_model),
+        "parameter_count": {"qkv": qkv, "head": head, "total": total},
         "seeds": list(cfg.seeds),
         "per_seed": per_seed,
         "mean_test_acc": float(np.mean(test_accs)) if test_accs else None,
@@ -359,22 +358,12 @@ def cmd_eval(args) -> int:
     split = dataset.splits[args.split]
     if not split:
         raise ConfigurationError(f"{args.split} split is empty")
-    noise = _checkpoint_noise(doc)
-    if args.shots is not None:
-        if not isinstance(model, model_mod.QsannModel):
-            raise ConfigurationError("shot sampling applies only to the quantum model")
-        rng = np.random.default_rng(args.shot_seed)
-        hits = 0
-        errors = []
-        for item in split:
-            pred = model_mod.forward(item.token_ids, model, noise, args.shots, rng)
-            hits += int(pred.label == item.label)
-            errors.append((pred.y_hat - item.label) ** 2)
-        accuracy = hits / len(split)
-        batch = [(item.token_ids, item.label) for item in split]
-        mean_loss = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, batch)
-    else:
-        accuracy, mean_loss = training.evaluate(split, model, noise)
+    if args.shots is not None and not isinstance(model, model_mod.QsannModel):
+        raise ConfigurationError("shot sampling applies only to the quantum model")
+    rng = np.random.default_rng(args.shot_seed)
+    accuracy, mean_loss = training.evaluate(
+        split, model, _checkpoint_noise(doc), args.shots, rng
+    )
     report = {
         "schema_version": SCHEMA_VERSION,
         "checkpoint": str(args.checkpoint),
@@ -436,7 +425,10 @@ def cmd_noise_sweep(args) -> int:
     cfg = RunConfig.from_dict(values)
     if cfg.model != "qsann":
         raise ConfigurationError("noise sweeps apply only to the quantum model")
-    p_values = [float(part) for part in args.p_list.split(",") if part != ""]
+    try:
+        p_values = [float(part) for part in args.p_list.split(",") if part != ""]
+    except ValueError:
+        raise ConfigurationError(f"expected comma-separated numbers, got {args.p_list!r}")
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"noise level {p} outside [0, 1]")

@@ -114,6 +114,16 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.rows.shape[1]
 
+    def check_ids(self, sequence) -> list[int]:
+        """The sequence as a list of row ids; empty or out-of-range ids raise."""
+        ids = list(sequence)
+        if not ids:
+            raise EmptySequenceError("empty token sequence")
+        for t in ids:
+            if not 0 <= t < self.vocab_size:
+                raise IndexError(f"token id {t} outside vocabulary")
+        return ids
+
     @classmethod
     def init_gaussian(
         cls, vocab_size: int, dim: int, rng: np.random.Generator, std: float = 0.01

@@ -30,9 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ObservableSet, QsalLayerParams, make_engine, z1_observable
-from .errors import EmptySequenceError
-from .model import QsannModel, sigmoid
+from . import model as model_mod
+from .attention import (
+    LayerTrace,
+    ObservableSet,
+    QsalLayerParams,
+    make_engine,
+    z1_observable,
+)
+from .model import QsannModel
 from .sim import NoiseChannel
 
 
@@ -69,25 +75,6 @@ def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:
     grads["head_b"] = bundle.d_b
     grads["embeddings"] = bundle.d_embeddings
     return grads
-
-
-def average_bundles(bundles: list[GradientBundle]) -> GradientBundle:
-    if not bundles:
-        raise EmptySequenceError("cannot average zero gradient bundles")
-    inv = 1.0 / len(bundles)
-    d_theta = []
-    for i in range(len(bundles[0].d_theta)):
-        d_theta.append(
-            tuple(
-                sum(b.d_theta[i][k] for b in bundles) * inv for k in range(3)
-            )
-        )
-    return GradientBundle(
-        d_theta=d_theta,
-        d_w=sum(b.d_w for b in bundles) * inv,
-        d_b=sum(b.d_b for b in bundles) * inv,
-        d_embeddings=sum(b.d_embeddings for b in bundles) * inv,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +125,18 @@ def _input_shift_batch(u: np.ndarray) -> np.ndarray:
 def layer_backward(
     layer: QsalLayerParams,
     obs: ObservableSet,
-    u: np.ndarray,
-    encoded: np.ndarray,
-    zq: np.ndarray,
-    zk: np.ndarray,
-    alpha: np.ndarray,
-    values: np.ndarray,
+    trace: LayerTrace,
     g: np.ndarray,
     noise: NoiseChannel | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backpropagate an upstream gradient g = dL/dy through one layer.
 
-    Takes the quantities recorded during the forward pass and returns
-    (d_theta_q, d_theta_k, d_theta_v, d_u) where d_u is the gradient with
-    respect to the layer inputs (residual + value + query + key parts).
+    Takes the layer's forward trace and returns (d_theta_q, d_theta_k,
+    d_theta_v, d_u) where d_u is the gradient with respect to the layer
+    inputs (residual + value + query + key parts).
     """
+    u, encoded, zq, zk = trace.inputs, trace.encoded, trace.zq, trace.zk
+    alpha, values = trace.attention.coefficients, trace.values
     engine = make_engine(layer.n_qubits, noise)
     z1 = z1_observable(layer.n_qubits)
     qkv_spec = layer.qkv_spec
@@ -216,37 +200,13 @@ def backward(
     the error factor, 0/1 in actual datasets.
     """
     token_ids, label = sample
-    ids = list(token_ids)
-    if not ids:
-        raise EmptySequenceError("cannot differentiate an empty sequence")
+    ids = model.embeddings.check_ids(token_ids)
     cfg = model.config
-    engine = make_engine(cfg.n_qubits, noise)
-    z1 = z1_observable(cfg.n_qubits)
-
-    xs = model.embeddings.rows[ids]
-    trace = []
-    u = xs
-    for layer in model.layers:
-        encoded = engine.prepare(u, layer.enc_spec)
-        zq = engine.expect(
-            engine.apply(encoded, layer.qkv_spec, layer.theta_q.values), z1
-        )
-        zk = engine.expect(
-            engine.apply(encoded, layer.qkv_spec, layer.theta_k.values), z1
-        )
-        values = engine.expect_set(
-            engine.apply(encoded, layer.qkv_spec, layer.theta_v.values),
-            model.observables,
-        )
-        raw = np.exp(-((zq[:, None] - zk[None, :]) ** 2))
-        alpha = raw / raw.sum(axis=1, keepdims=True)
-        trace.append((u, encoded, zq, zk, alpha, values))
-        u = u + alpha @ values
+    traces = model_mod.layer_traces(ids, model, noise)
 
     n_words = len(ids)
     dim = cfg.embed_dim
-    pooled = u.mean(axis=0)
-    y_hat = sigmoid(float(model.head_w @ pooled + model.head_b[0]))
+    pooled, y_hat = model_mod.head_output(model, traces[-1].outputs)
     sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
 
     d_w = sigma_t * pooled + (cfg.lam / dim) * model.head_w
@@ -255,13 +215,12 @@ def backward(
 
     d_theta: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(model.layers)
     for layer_idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[layer_idx]
-        u_l, encoded, zq, zk, alpha, values = trace[layer_idx]
         dq, dk, dv, g = layer_backward(
-            layer, model.observables, u_l, encoded, zq, zk, alpha, values, g, noise
+            model.layers[layer_idx], model.observables, traces[layer_idx], g, noise
         )
         d_theta[layer_idx] = (dq, dk, dv)
 
+    xs = traces[0].inputs
     d_emb = np.zeros_like(model.embeddings.rows)
     gamma_scale = cfg.gamma / dim
     for pos, token in enumerate(ids):

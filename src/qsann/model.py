@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionMatrix, ObservableSet, QsalLayerParams, layer_forward
+from .attention import (
+    AttentionMatrix,
+    LayerTrace,
+    ObservableSet,
+    QsalLayerParams,
+    layer_forward,
+)
 from .data import EmbeddingTable
 from .errors import ConfigurationError, EmptySequenceError
 from .sim import NoiseChannel
@@ -109,6 +115,28 @@ def init_model(
     )
 
 
+def layer_traces(
+    ids: list[int],
+    model: QsannModel,
+    noise: NoiseChannel | None = None,
+    shots: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> list[LayerTrace]:
+    """Traces of every attention layer, first to last, for checked token ids."""
+    xs = model.embeddings.rows[ids]
+    traces = []
+    for layer in model.layers:
+        traces.append(layer_forward(xs, layer, model.observables, noise, shots, rng))
+        xs = traces[-1].outputs
+    return traces
+
+
+def head_output(model: QsannModel, outputs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(pooled last-layer output, sigmoid head output)."""
+    pooled = outputs.mean(axis=0)
+    return pooled, sigmoid(float(model.head_w @ pooled + model.head_b[0]))
+
+
 def forward(
     sequence,
     model: QsannModel,
@@ -117,20 +145,12 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> Prediction:
     """Predict the positive-class probability for a token-id sequence."""
-    ids = list(sequence)
-    if not ids:
-        raise EmptySequenceError("cannot classify an empty sequence")
-    for t in ids:
-        if not 0 <= t < model.embeddings.vocab_size:
-            raise IndexError(f"token id {t} outside vocabulary")
-    xs = model.embeddings.rows[ids]
-    attention: list[AttentionMatrix] = []
-    for layer in model.layers:
-        xs, att = layer_forward(xs, layer, model.observables, noise, shots, rng)
-        attention.append(att)
-    pooled = xs.mean(axis=0)
-    y_hat = sigmoid(float(model.head_w @ pooled + model.head_b[0]))
-    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=attention)
+    ids = model.embeddings.check_ids(sequence)
+    traces = layer_traces(ids, model, noise, shots, rng)
+    _, y_hat = head_output(model, traces[-1].outputs)
+    return Prediction(
+        y_hat=y_hat, label=int(y_hat >= 0.5), attention=[t.attention for t in traces]
+    )
 
 
 def regularization(model: QsannModel, batch) -> float:

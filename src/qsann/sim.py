@@ -385,6 +385,12 @@ def apply_gate_dm_batch(rhos: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
     return _dm_conjugate_1q(rhos, mat, gate.target, n_qubits)
 
 
+def apply_cnot_dm_batch(
+    rhos: np.ndarray, control: int, target: int, n_qubits: int
+) -> np.ndarray:
+    return apply_gate_dm_batch(rhos, Gate("CNOT", target, control=control), n_qubits)
+
+
 def apply_rotation_dm_batch(
     rhos: np.ndarray, kind: str, qubit: int, angles, n_qubits: int
 ) -> np.ndarray:
@@ -458,22 +464,6 @@ def expectation(state: StateVector, obs: PauliString) -> float:
             f"observable on {obs.n_qubits} qubits but state has {state.n_qubits}"
         )
     return float(expectation_batch(state.amplitudes[None, :], obs, state.n_qubits)[0])
-
-
-def expectation_sampled(
-    state: StateVector, obs: PauliString, shots: int, rng: np.random.Generator
-) -> float:
-    """Shot-noise estimate of <P>: Bernoulli sampling of the +/-1 outcomes.
-
-    Provided for realism studies; everything the training stack asserts on
-    uses the exact ``expectation``.
-    """
-    if shots <= 0:
-        raise ConfigurationError("shots must be positive")
-    exact = expectation(state, obs)
-    p_plus = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-    hits = rng.binomial(shots, p_plus)
-    return 2.0 * hits / shots - 1.0
 
 
 def density_from_state(state: StateVector) -> DensityMatrix:

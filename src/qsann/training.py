@@ -1,4 +1,4 @@
-"""Adam optimization and the training loop shared by all model kinds.
+"""Adam optimization, the table of model kinds and the training loop they share.
 
 Updates default to one sample at a time; larger batch sizes average the
 per-sample gradients before a single step.  Parameters and head weights are
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -89,41 +90,109 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# Per-model-kind plumbing
+# Model kinds
 
 
-def _ops_for(model):
-    """(predict, regularization, backward, params_dict) for a model object."""
-    if isinstance(model, QsannModel):
-        return (
-            lambda ids, noise=None: model_mod.forward(ids, model, noise),
-            lambda batch: model_mod.regularization(model, batch),
-            lambda sample, noise=None: gradients.bundle_as_dict(
-                gradients.backward(sample, model, noise)
+@dataclass(frozen=True)
+class ModelKind:
+    """Everything that differs between the qsann, csann and naive models.
+
+    Entries call through module attributes (``model_mod.forward``), never a
+    stored function object, so wrappers installed on a module see every call.
+    """
+
+    name: str
+    model_type: type
+    init: Callable  # (settings, vocab_size, rng) -> fresh model
+    settings: Callable  # model -> dict of its model_config
+    set_penalties: Callable  # (model, lam, gamma) -> None
+    forward: Callable  # (ids, model, noise, shots, rng) -> Prediction
+    backward: Callable  # (sample, model, noise) -> gradient dict
+    params: Callable  # model -> live arrays, keyed as in checkpoints
+    regularization: Callable  # (model, batch) -> float
+    parameter_count: Callable  # model -> (qkv, head, total)
+
+
+def _qsann_init(settings: dict, vocab_size: int, rng: np.random.Generator):
+    fields = (f.name for f in dataclasses.fields(model_mod.ModelConfig))
+    config = model_mod.ModelConfig(**{name: settings[name] for name in fields})
+    return model_mod.init_model(config, vocab_size, rng)
+
+
+def _qsann_set_penalties(model, lam: float, gamma: float) -> None:
+    model.config = dataclasses.replace(model.config, lam=lam, gamma=gamma)
+
+
+def _baseline_set_penalties(model, lam: float, gamma: float) -> None:
+    model.lam, model.gamma = lam, gamma
+
+
+def _baseline_settings(model) -> dict:
+    return {"dim": model.dim, "lam": model.lam, "gamma": model.gamma}
+
+
+MODEL_KINDS = {
+    kind.name: kind
+    for kind in (
+        ModelKind(
+            "qsann",
+            QsannModel,
+            init=_qsann_init,
+            settings=lambda m: dataclasses.asdict(m.config),
+            set_penalties=_qsann_set_penalties,
+            forward=lambda ids, m, noise, shots, rng: model_mod.forward(
+                ids, m, noise, shots, rng
             ),
-            lambda: gradients.model_param_dict(model),
-        )
-    if isinstance(model, CsannParams):
-        return (
-            lambda ids, noise=None: baselines.csann_forward(ids, model),
-            lambda batch: baselines.regularization(model, batch),
-            lambda sample, noise=None: baselines.csann_backward(sample, model),
-            lambda: baselines.csann_param_dict(model),
-        )
-    if isinstance(model, NaiveParams):
-        return (
-            lambda ids, noise=None: baselines.naive_forward(ids, model),
-            lambda batch: baselines.regularization(model, batch),
-            lambda sample, noise=None: baselines.naive_backward(sample, model),
-            lambda: baselines.naive_param_dict(model),
-        )
+            backward=lambda sample, m, noise: gradients.bundle_as_dict(
+                gradients.backward(sample, m, noise)
+            ),
+            params=lambda m: gradients.model_param_dict(m),
+            regularization=lambda m, batch: model_mod.regularization(m, batch),
+            parameter_count=lambda m: model_mod.parameter_count(m),
+        ),
+        ModelKind(
+            "csann",
+            CsannParams,
+            init=lambda s, vocab_size, rng: baselines.init_csann(
+                vocab_size, s["dim"], rng, s["lam"], s["gamma"]
+            ),
+            settings=_baseline_settings,
+            set_penalties=_baseline_set_penalties,
+            forward=lambda ids, m, noise, shots, rng: baselines.csann_forward(ids, m),
+            backward=lambda sample, m, noise: baselines.csann_backward(sample, m),
+            params=lambda m: baselines.csann_param_dict(m),
+            regularization=lambda m, batch: baselines.regularization(m, batch),
+            parameter_count=lambda m: baselines.csann_parameter_count(m.dim),
+        ),
+        ModelKind(
+            "naive",
+            NaiveParams,
+            init=lambda s, vocab_size, rng: baselines.init_naive(
+                vocab_size, s["dim"], rng, s["lam"], s["gamma"]
+            ),
+            settings=_baseline_settings,
+            set_penalties=_baseline_set_penalties,
+            forward=lambda ids, m, noise, shots, rng: baselines.naive_forward(ids, m),
+            backward=lambda sample, m, noise: baselines.naive_backward(sample, m),
+            params=lambda m: baselines.naive_param_dict(m),
+            regularization=lambda m, batch: baselines.regularization(m, batch),
+            parameter_count=lambda m: baselines.naive_parameter_count(m.dim),
+        ),
+    )
+}
+
+
+def kind_of(model) -> ModelKind:
+    """The table entry for a model object."""
+    for kind in MODEL_KINDS.values():
+        if isinstance(model, kind.model_type):
+            return kind
     raise ConfigurationError(f"unknown model kind {type(model).__name__}")
 
 
 def init_parameters(model, rng: np.random.Generator, std: float = INIT_STD) -> None:
     """Redraw every trainable array from N(0, std); biases to zero."""
-    _, _, _, params_fn = _ops_for(model)
-    for key, param in params_fn().items():
+    for key, param in kind_of(model).params(model).items():
         if key == "head_b":
             param[...] = 0.0
         else:
@@ -140,19 +209,28 @@ def _as_samples(split) -> list[tuple[list[int], int]]:
     return out
 
 
-def evaluate(split, model, noise: NoiseChannel | None = None) -> tuple[float, float]:
-    """(accuracy, mean loss) of a model over labeled sequences."""
+def evaluate(
+    split,
+    model,
+    noise: NoiseChannel | None = None,
+    shots: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float]:
+    """(accuracy, mean loss) of a model over labeled sequences.
+
+    ``shots`` and ``rng`` sample the quantum model's expectations.
+    """
     samples = _as_samples(split)
     if not samples:
         raise EmptySequenceError("cannot evaluate an empty dataset")
-    predict, reg_fn, _, _ = _ops_for(model)
+    kind = kind_of(model)
     hits = 0
     errors = []
     for ids, label in samples:
-        pred = predict(ids, noise)
+        pred = kind.forward(ids, model, noise, shots, rng)
         hits += int(pred.label == label)
         errors.append((pred.y_hat - float(label)) ** 2)
-    mean_loss = float(np.mean(errors)) / 2.0 + reg_fn(samples)
+    mean_loss = float(np.mean(errors)) / 2.0 + kind.regularization(model, samples)
     return hits / len(samples), mean_loss
 
 
@@ -199,18 +277,11 @@ def train(
     test_samples = _as_samples(dataset.test)
     dev_samples = _as_samples(dataset.dev) if dataset.dev else []
 
-    if isinstance(model, QsannModel):
-        model.config = dataclasses.replace(
-            model.config, lam=config.lam, gamma=config.gamma
-        )
-    else:
-        model.lam = config.lam
-        model.gamma = config.gamma
-
+    kind = kind_of(model)
+    kind.set_penalties(model, config.lam, config.gamma)
     rng = np.random.default_rng(config.seed)
     init_parameters(model, rng)
-    _, _, backward_fn, params_fn = _ops_for(model)
-    params = params_fn()
+    params = kind.params(model)
     adam = AdamState()
 
     def record(epoch: int) -> dict:
@@ -243,7 +314,7 @@ def train(
         try:
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start : start + config.batch_size]
-                grad_dicts = [backward_fn(train_samples[i], noise) for i in chunk]
+                grad_dicts = [kind.backward(train_samples[i], model, noise) for i in chunk]
                 if len(grad_dicts) == 1:
                     grads = grad_dicts[0]
                 else:

@@ -11,9 +11,6 @@ from qsann.attention import (
     gpqsa_coefficients,
     layer_forward,
     make_engine,
-    query_key_expectations,
-    value_matrix,
-    value_vector,
 )
 from qsann.errors import ConfigurationError, EmptySequenceError
 from qsann.sim import (
@@ -78,18 +75,22 @@ class TestObservableSet:
             ObservableSet((PauliString.from_str("XI"), PauliString.from_str("IZ")))
 
 
+def traced(inputs, layer, **kwargs):
+    obs = ObservableSet.default(layer.n_qubits, layer.input_dim)
+    return layer_forward(inputs, layer, obs, **kwargs)
+
+
 class TestQueryKey:
     def test_zero_parameters_give_zero_projection(self):
         # theta = 0, x = 0: the state stays an equal superposition, <Z_1> = 0
-        layer = zero_layer()
-        zq, zk = query_key_expectations(np.zeros((3, 6)), layer)
-        assert np.allclose(zq, 0.0, atol=1e-12)
-        assert np.allclose(zk, 0.0, atol=1e-12)
+        trace = traced(np.zeros((3, 6)), zero_layer())
+        assert np.allclose(trace.zq, 0.0, atol=1e-12)
+        assert np.allclose(trace.zk, 0.0, atol=1e-12)
 
     def test_matches_full_matrix_oracle(self, rng):
         layer = random_layer(rng)
         x = rng.uniform(-1, 1, 6)
-        zq, zk = query_key_expectations(x, layer)
+        zq = traced(x, layer).zq
         gates = [Gate("H", 0), Gate("H", 1)] + build_circuit(layer.enc_spec, x)
         psi = circuit_unitary(gates, 2) @ init_zero_state(2).amplitudes
         uq = circuit_unitary(build_circuit(layer.qkv_spec, layer.theta_q.values), 2)
@@ -99,39 +100,33 @@ class TestQueryKey:
 
     def test_bounded(self, rng):
         layer = random_layer(rng)
-        xs = rng.uniform(-6, 6, (100, 6))
-        zq, zk = query_key_expectations(xs, layer)
-        assert np.all(np.abs(zq) <= 1.0) and np.all(np.abs(zk) <= 1.0)
+        trace = traced(rng.uniform(-6, 6, (100, 6)), layer)
+        assert np.all(np.abs(trace.zq) <= 1.0) and np.all(np.abs(trace.zk) <= 1.0)
 
     def test_identical_inputs_identical_outputs(self, rng):
         layer = random_layer(rng)
-        xs = np.tile(rng.uniform(-1, 1, 6), (4, 1))
-        zq, zk = query_key_expectations(xs, layer)
-        assert np.all(zq == zq[0]) and np.all(zk == zk[0])
+        trace = traced(np.tile(rng.uniform(-1, 1, 6), (4, 1)), layer)
+        assert np.all(trace.zq == trace.zq[0]) and np.all(trace.zk == trace.zk[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            query_key_expectations(np.zeros((2, 5)), zero_layer())
+            traced(np.zeros((2, 5)), zero_layer())
 
 
 class TestValues:
     def test_output_dimension_n4(self, rng):
         layer = random_layer(rng, n=4)
-        obs = ObservableSet.default(4, 12)
-        out = value_vector(rng.uniform(-1, 1, 12), layer, obs)
-        assert out.shape == (12,)
+        values = traced(rng.uniform(-1, 1, 12), layer).values
+        assert values.shape == (1, 12)
 
     def test_entries_bounded(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
-        values = value_matrix(rng.uniform(-6, 6, (50, 6)), layer, obs)
+        values = traced(rng.uniform(-6, 6, (50, 6)), layer).values
         assert np.all(np.abs(values) <= 1.0)
 
     def test_zero_angles_z_entries_vanish(self):
-        layer = zero_layer()
-        obs = ObservableSet.default(2, 6)
-        out = value_vector(np.zeros(6), layer, obs)
-        assert np.allclose(out[:2], 0.0, atol=1e-12)  # Z singles on |+..+>
+        values = traced(np.zeros(6), zero_layer()).values
+        assert np.allclose(values[0, :2], 0.0, atol=1e-12)  # Z singles on |+..+>
 
 
 class TestGpqsa:
@@ -180,23 +175,22 @@ class TestLayerForward:
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         x = rng.uniform(-1, 1, 6)
-        outputs, attn = layer_forward(x, layer, obs)
-        assert attn.coefficients.tolist() == [[1.0]]
-        expected = x + value_vector(x, layer, obs)
-        assert np.allclose(outputs[0], expected, atol=1e-12)
+        trace = layer_forward(x, layer, obs)
+        assert trace.attention.coefficients.tolist() == [[1.0]]
+        assert np.allclose(trace.outputs[0], x + trace.values[0], atol=1e-12)
 
     def test_shapes(self, rng):
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
-        outputs, attn = layer_forward(rng.uniform(-1, 1, (5, 6)), layer, obs)
-        assert outputs.shape == (5, 6)
-        assert attn.coefficients.shape == (5, 5)
+        trace = layer_forward(rng.uniform(-1, 1, (5, 6)), layer, obs)
+        assert trace.outputs.shape == (5, 6)
+        assert trace.attention.coefficients.shape == (5, 5)
 
     def test_output_bound(self, rng):
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-3, 3, (6, 6))
-        outputs, _ = layer_forward(xs, layer, obs)
+        outputs = layer_forward(xs, layer, obs).outputs
         assert np.all(np.abs(outputs) <= np.abs(xs) + 1.0 + 1e-12)
 
     def test_permutation_equivariance(self, rng):
@@ -204,19 +198,21 @@ class TestLayerForward:
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (4, 6))
         perm = rng.permutation(4)
-        out_a, attn_a = layer_forward(xs, layer, obs)
-        out_b, attn_b = layer_forward(xs[perm], layer, obs)
-        assert np.allclose(out_b, out_a[perm], atol=1e-12)
+        a = layer_forward(xs, layer, obs)
+        b = layer_forward(xs[perm], layer, obs)
+        assert np.allclose(b.outputs, a.outputs[perm], atol=1e-12)
         assert np.allclose(
-            attn_b.coefficients, attn_a.coefficients[np.ix_(perm, perm)], atol=1e-12
+            b.attention.coefficients,
+            a.attention.coefficients[np.ix_(perm, perm)],
+            atol=1e-12,
         )
 
     def test_deterministic(self, rng):
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        out_a, _ = layer_forward(xs, layer, obs)
-        out_b, _ = layer_forward(xs, layer, obs)
+        out_a = layer_forward(xs, layer, obs).outputs
+        out_b = layer_forward(xs, layer, obs).outputs
         assert np.array_equal(out_a, out_b)
 
     def test_residual_identity_with_zero_values(self, rng, monkeypatch):
@@ -229,8 +225,7 @@ class TestLayerForward:
             "expect_set",
             lambda self, states, obs_set: np.zeros((states.shape[0], obs_set.size)),
         )
-        outputs, _ = layer_forward(xs, layer, obs)
-        assert np.array_equal(outputs, xs)
+        assert np.array_equal(layer_forward(xs, layer, obs).outputs, xs)
 
     def test_observable_count_must_match(self, rng):
         layer = random_layer(rng)
@@ -248,9 +243,9 @@ class TestNoisyLayer:
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        clean, _ = layer_forward(xs, layer, obs)
-        zeroed, _ = layer_forward(xs, layer, obs, noise=NoiseChannel("depolarizing", 0.0))
-        assert np.array_equal(clean, zeroed)
+        clean = layer_forward(xs, layer, obs).outputs
+        zeroed = layer_forward(xs, layer, obs, noise=NoiseChannel("depolarizing", 0.0))
+        assert np.array_equal(clean, zeroed.outputs)
 
     def test_noisy_engine_selected(self):
         assert isinstance(
@@ -262,9 +257,9 @@ class TestNoisyLayer:
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (4, 6))
         for kind in ("depolarizing", "amplitude_damping"):
-            outputs, attn = layer_forward(xs, layer, obs, noise=NoiseChannel(kind, 0.75))
-            assert np.max(np.abs(attn.coefficients.sum(axis=1) - 1.0)) < 1e-10
-            assert np.all(np.isfinite(outputs))
+            trace = layer_forward(xs, layer, obs, noise=NoiseChannel(kind, 0.75))
+            assert np.max(np.abs(trace.attention.coefficients.sum(axis=1) - 1.0)) < 1e-10
+            assert np.all(np.isfinite(trace.outputs))
 
     def test_pure_and_noisy_agree_without_noise(self, rng):
         # density-matrix engine with a p=0 channel object forced in
@@ -276,15 +271,13 @@ class TestNoisyLayer:
         values = engine.expect_set(
             engine.apply(encoded, layer.qkv_spec, layer.theta_v.values), obs
         )
-        assert np.allclose(values, value_matrix(xs, layer, obs), atol=1e-10)
+        assert np.allclose(values, layer_forward(xs, layer, obs).values, atol=1e-10)
 
     def test_depolarizing_shrinks_projections(self, rng):
         layer = random_layer(rng)
         xs = rng.uniform(-1, 1, (3, 6))
-        zq_clean, _ = query_key_expectations(xs, layer)
-        zq_noisy, _ = query_key_expectations(
-            xs, layer, noise=NoiseChannel("depolarizing", 0.75)
-        )
+        zq_clean = traced(xs, layer).zq
+        zq_noisy = traced(xs, layer, noise=NoiseChannel("depolarizing", 0.75)).zq
         assert np.max(np.abs(zq_noisy)) <= np.max(np.abs(zq_clean)) + 1e-12
 
 
@@ -293,14 +286,28 @@ class TestShotSampling:
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        exact, _ = layer_forward(xs, layer, obs)
-        sampled, attn = layer_forward(
-            xs, layer, obs, shots=64, rng=np.random.default_rng(0)
-        )
-        assert np.max(np.abs(attn.coefficients.sum(axis=1) - 1.0)) < 1e-10
-        assert not np.array_equal(exact, sampled)
+        exact = layer_forward(xs, layer, obs).outputs
+        sampled = layer_forward(xs, layer, obs, shots=64, rng=np.random.default_rng(0))
+        assert np.max(np.abs(sampled.attention.coefficients.sum(axis=1) - 1.0)) < 1e-10
+        assert not np.array_equal(exact, sampled.outputs)
+
+    def test_sampled_expectation(self, rng):
+        # many shots converge on the exact expectations; a seed fixes the draw
+        layer = random_layer(rng)
+        xs = rng.uniform(-1, 1, (2, 6))
+        exact = traced(xs, layer)
+        est = traced(xs, layer, shots=200_000, rng=rng)
+        for name in ("zq", "zk", "values"):
+            assert np.allclose(getattr(est, name), getattr(exact, name), atol=0.01)
+        same = traced(xs, layer, shots=100, rng=np.random.default_rng(3))
+        again = traced(xs, layer, shots=100, rng=np.random.default_rng(3))
+        assert np.array_equal(same.outputs, again.outputs)
 
     def test_shots_need_rng(self, rng):
-        layer = random_layer(rng)
         with pytest.raises(ConfigurationError):
-            query_key_expectations(np.zeros((1, 6)), layer, shots=16)
+            traced(np.zeros((1, 6)), random_layer(rng), shots=16)
+
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shots_below_one_rejected(self, rng, shots):
+        with pytest.raises(ConfigurationError):
+            traced(np.zeros((1, 6)), random_layer(rng), shots=shots, rng=rng)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 
@@ -79,6 +80,56 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["qsann", "csann", "naive"])
+    def test_save_load_save_identical_bytes(self, rng, tmp_path, kind):
+        vocab = data.Vocabulary([data.OOV_TOKEN, "a", "b", "c"])
+        model = {
+            "qsann": lambda: build_random_model(rng, vocab_size=4),
+            "csann": lambda: init_csann(4, 3, rng, lam=0.1, gamma=0.2),
+            "naive": lambda: init_naive(4, 3, rng, lam=0.1),
+        }[kind]()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(first, model, vocab, {"source_path": "x.tsv"})
+        loaded, vocab2, doc = load_checkpoint(first)
+        assert doc["model_kind"] == kind
+        assert ("observables" in doc) == (kind == "qsann")
+        save_checkpoint(second, loaded, vocab2, doc["dataset"])
+        assert first.read_bytes() == second.read_bytes()
+
+    def _saved_doc(self, rng, tmp_path):
+        path = tmp_path / "ckpt.json"
+        vocab = data.Vocabulary([data.OOV_TOKEN, "a", "b"])
+        save_checkpoint(path, build_random_model(rng, vocab_size=3), vocab, {})
+        return path, json.loads(path.read_text())
+
+    def _encoded(self, arr):
+        arr = np.asarray(arr, dtype=np.float64)
+        return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode()}
+
+    def test_array_shape_must_match_config(self, rng, tmp_path):
+        path, doc = self._saved_doc(rng, tmp_path)
+        doc["params"]["head_w"] = self._encoded(np.zeros(5))  # config implies 6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="head_w"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+
+    def test_non_finite_array_rejected(self, rng, tmp_path):
+        path, doc = self._saved_doc(rng, tmp_path)
+        doc["params"]["layer0.theta_k"] = self._encoded([0.1, np.nan, 0, 0, 0, 0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="non-finite"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+
+    def test_vocab_hash_must_match_vocabulary(self, rng, tmp_path):
+        path, doc = self._saved_doc(rng, tmp_path)
+        doc["vocabulary"] = [data.OOV_TOKEN, "a", "z"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="vocab_sha256"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+
 
 class TestRunConfig:
     def test_qsann_dimension_enforced(self):
@@ -110,6 +161,27 @@ class TestRunConfig:
     def test_p_zero_noise_short_circuits(self):
         cfg = RunConfig(dataset_path="d.tsv", noise_kind="depolarizing", noise_p=0.0)
         assert cfg.noise_channel() is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--set", "epochs=1.5"],
+        ["train", "--set", "n_qubits=abc"],
+        ["train", "--set", "n_qubits=2.0"],
+        ["train", "--set", "seeds=3"],
+        ["noise-sweep", "--p-list", "abc"],
+    ],
+)
+def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(toy_tsv)))
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--config", str(cfg_path), "--out", str(out)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestCmdTrain:
@@ -235,6 +307,20 @@ class TestCmdEval:
             "--shots", "32", "--shot-seed", "7",
         ])
         assert code == 0
+
+
+    @pytest.mark.parametrize("shots", ["0", "-1"])
+    def test_shots_below_one_exit_two(self, tmp_path, toy_tsv, capsys, shots):
+        _, out = run_train(tmp_path, toy_tsv, name="bad_shots", seeds=[0], epochs=1)
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(out / "seed_0" / "checkpoint.json"),
+            "--shots", shots,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestCmdAttention:

@@ -3,10 +3,9 @@ import pytest
 
 from conftest import assert_grad_close, build_random_model, finite_difference
 from qsann import model as model_mod
-from qsann.attention import ObservableSet, QsalLayerParams, layer_forward, make_engine, z1_observable
+from qsann.attention import ObservableSet, QsalLayerParams, layer_forward
 from qsann.errors import EmptySequenceError
 from qsann.gradients import (
-    average_bundles,
     backward,
     bundle_as_dict,
     layer_backward,
@@ -101,17 +100,8 @@ class TestLayerInputGradient:
         u = rng.uniform(-1, 1, (3, 6))
         g = rng.normal(0, 1, (3, 6))
 
-        engine = make_engine(2, None)
-        encoded = engine.prepare(u, layer.enc_spec)
-        z1 = z1_observable(2)
-        zq = engine.expect(engine.apply(encoded, layer.qkv_spec, layer.theta_q.values), z1)
-        zk = engine.expect(engine.apply(encoded, layer.qkv_spec, layer.theta_k.values), z1)
-        values = engine.expect_set(
-            engine.apply(encoded, layer.qkv_spec, layer.theta_v.values), obs
-        )
-        raw = np.exp(-((zq[:, None] - zk[None, :]) ** 2))
-        alpha = raw / raw.sum(axis=1, keepdims=True)
-        _, _, _, d_u = layer_backward(layer, obs, u, encoded, zq, zk, alpha, values, g)
+        trace = layer_forward(u, layer, obs)
+        _, _, _, d_u = layer_backward(layer, obs, trace, g)
 
         h = 1e-5
         for s in range(3):
@@ -119,27 +109,13 @@ class TestLayerInputGradient:
                 u_plus, u_minus = u.copy(), u.copy()
                 u_plus[s, r] += h
                 u_minus[s, r] -= h
-                phi_plus = float(np.sum(g * layer_forward(u_plus, layer, obs)[0]))
-                phi_minus = float(np.sum(g * layer_forward(u_minus, layer, obs)[0]))
+                phi_plus = float(np.sum(g * layer_forward(u_plus, layer, obs).outputs))
+                phi_minus = float(np.sum(g * layer_forward(u_minus, layer, obs).outputs))
                 fd = (phi_plus - phi_minus) / (2 * h)
                 assert d_u[s, r] == pytest.approx(fd, abs=1e-5)
 
 
 class TestBundleUtilities:
-    def test_average(self, rng):
-        model = build_random_model(rng)
-        b1 = backward(([1, 2], 1), model)
-        b2 = backward(([3], 0), model)
-        avg = average_bundles([b1, b2])
-        assert np.allclose(avg.d_w, (b1.d_w + b2.d_w) / 2)
-        assert np.allclose(
-            avg.d_theta[0][2], (b1.d_theta[0][2] + b2.d_theta[0][2]) / 2
-        )
-
-    def test_average_empty(self):
-        with pytest.raises(EmptySequenceError):
-            average_bundles([])
-
     def test_dict_round_trip_keys(self, rng):
         model = build_random_model(rng, n_layers=2)
         bundle = backward(([1], 1), model)
@@ -155,3 +131,9 @@ class TestBundleUtilities:
     def test_empty_sequence_rejected(self, rng):
         with pytest.raises(EmptySequenceError):
             backward(([], 1), build_random_model(rng))
+
+    @pytest.mark.parametrize("ids", [[-1, 2], [2, 5]])
+    def test_out_of_vocabulary_ids_rejected(self, rng, ids):
+        # as in model.forward: no wrap-around into the last embedding rows
+        with pytest.raises(IndexError):
+            backward((ids, 1), build_random_model(rng, vocab_size=5))

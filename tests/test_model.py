@@ -40,7 +40,7 @@ class TestForward:
         model = build_random_model(rng)
         pred = forward([2], model)
         xs = model.embeddings.rows[[2]]
-        outputs, _ = attention.layer_forward(xs, model.layers[0], model.observables)
+        outputs = attention.layer_forward(xs, model.layers[0], model.observables).outputs
         from qsann.model import sigmoid
 
         expected = sigmoid(float(model.head_w @ outputs[0] + model.head_b[0]))

@@ -19,7 +19,6 @@ from qsann.sim import (
     embedded_gate_unitary,
     expectation,
     expectation_dm,
-    expectation_sampled,
     init_zero_state,
     pauli_matrix,
 )
@@ -162,15 +161,6 @@ class TestExpectation:
             psi = state.amplitudes
             oracle = np.real(psi.conj() @ pauli_matrix(obs) @ psi)
             assert direct == pytest.approx(oracle, abs=1e-10)
-
-    def test_sampled_expectation(self, rng):
-        state = apply_gate(init_zero_state(1), Gate("RY", 0, angle=0.7))
-        obs = PauliString.from_str("Z")
-        est = expectation_sampled(state, obs, shots=200_000, rng=rng)
-        assert est == pytest.approx(math.cos(0.7), abs=0.01)
-        same = expectation_sampled(state, obs, 100, np.random.default_rng(3))
-        again = expectation_sampled(state, obs, 100, np.random.default_rng(3))
-        assert same == again
 
 
 class TestStateValidation:
