@@ -95,19 +95,12 @@ def build_circuit(spec: AnsatzSpec, params) -> list[Gate]:
     return gates
 
 
-def run_ansatz_batch(
-    amps: np.ndarray, spec: AnsatzSpec, angles, rotate=None, cnot=None
-) -> np.ndarray:
+def run_ansatz_batch(amps: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
     """Apply the ansatz to a (batch, 2**n) array.
 
     ``angles`` is either one vector of length param_count shared across the
     batch, or a (batch, param_count) array with one angle row per state.
-    ``rotate(arr, kind, qubit, angles, n)`` and ``cnot(arr, control, target,
-    n)`` default to the statevector kernels; passing the density-matrix ones
-    runs the same circuit on a (batch, 2**n, 2**n) array.
     """
-    rotate = rotate or apply_rotation_batch
-    cnot = cnot or apply_cnot_batch
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape[-1] != spec.param_count:
         raise ConfigurationError(
@@ -115,17 +108,30 @@ def run_ansatz_batch(
         )
     n = spec.n_qubits
     for q in range(n):
-        amps = rotate(amps, "RX", q, angles[..., q], n)
+        amps = apply_rotation_batch(amps, "RX", q, angles[..., q], n)
     for q in range(n):
-        amps = rotate(amps, "RY", q, angles[..., n + q], n)
+        amps = apply_rotation_batch(amps, "RY", q, angles[..., n + q], n)
     for block in range(spec.depth):
         if n > 1:
             for q in range(n):
-                amps = cnot(amps, q, (q + 1) % n, n)
+                amps = apply_cnot_batch(amps, q, (q + 1) % n, n)
         offset = 2 * n + block * n
         for q in range(n):
-            amps = rotate(amps, "RY", q, angles[..., offset + q], n)
+            amps = apply_rotation_batch(amps, "RY", q, angles[..., offset + q], n)
     return amps
+
+
+def ansatz_unitaries(spec: AnsatzSpec, angles) -> np.ndarray:
+    """(rows, 2**n, 2**n) unitaries of the ansatz, one per row of ``angles``.
+
+    One ``run_ansatz_batch`` call on the basis rows: row j of block c is
+    U_c|j>, the j-th column of U_c.
+    """
+    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
+    dim = 2**spec.n_qubits
+    basis = np.tile(np.eye(dim, dtype=np.complex128), (angles.shape[0], 1))
+    columns = run_ansatz_batch(basis, spec, np.repeat(angles, dim, axis=0))
+    return columns.reshape(-1, dim, dim).transpose(0, 2, 1)
 
 
 def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:

@@ -7,33 +7,24 @@ exp(-(<Z_q>_s - <Z_k>_j)^2), row-normalized.  Outputs are residual:
 y_s = x_s + sum_j coeff[s, j] * o_j, where o_j stacks the value circuit's
 Pauli expectations.
 
-Two evaluation engines share the layer logic: a pure statevector engine and
-a density-matrix engine that inserts a single-qubit noise channel on every
-qubit after the final layer of each of the four circuits (encoder, query,
-key, value).
+With noise, a single-qubit channel acts on every qubit after each of the
+four circuits (encoder, query, key, value).  One engine serves pure and
+noisy layers in the Heisenberg picture: the circuits and channels act on
+observables, and the only state simulated per word is its encoder state,
+which stays pure.  The density-matrix kernels in ``sim`` are the reference
+the tests hold it to.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParamVector, encode_batch, run_ansatz_batch
+from .ansatz import AnsatzSpec, ParamVector, ansatz_unitaries, encode_batch
 from .errors import ConfigurationError, EmptySequenceError
-from .sim import (
-    Gate,
-    NoiseChannel,
-    PauliString,
-    apply_channel_batch,
-    apply_cnot_dm_batch,
-    apply_gate_dm_batch,
-    apply_rotation_dm_batch,
-    expectation_batch,
-    expectation_dm_batch,
-    zero_density_batch,
-)
-
+from .sim import NoiseChannel, PauliString, apply_channel_every_qubit, pauli_matrix
 
 @dataclass
 class QsalLayerParams:
@@ -118,6 +109,11 @@ class ObservableSet:
     def size(self) -> int:
         return len(self.observables)
 
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """(size, 2**n, 2**n) matrices of the observables, in order."""
+        return np.stack([pauli_matrix(obs) for obs in self.observables])
+
     @classmethod
     def default(cls, n_qubits: int, size: int) -> "ObservableSet":
         if size < 1:
@@ -173,71 +169,56 @@ class AttentionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation engines
+# Evaluation engine
 
 
-class PureEngine:
-    """Statevector evaluation; states are (batch, 2**n) amplitude arrays."""
+class Engine:
+    """Heisenberg-picture evaluation of a layer, with or without noise.
 
-    def __init__(self, n_qubits: int):
+    A word's expectation of O is <enc|M|enc> with M = E^dag(U^dag E^dag(O) U),
+    measured on its pure encoder state, where U is the query, key or value
+    circuit and E the channel on every qubit (the identity without noise or
+    at p = 0).
+    """
+
+    def __init__(self, n_qubits: int, noise: NoiseChannel | None = None):
         self.n_qubits = n_qubits
+        self.noise = noise if noise is not None and noise.p > 0.0 else None
 
-    def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec) -> np.ndarray:
-        return encode_batch(inputs, enc_spec)
+    def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec, weights=None) -> np.ndarray:
+        """Pure encoder states of the input rows, (rows, 2**n).
 
-    def apply(self, states: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
-        return run_ansatz_batch(states, spec, angles)
+        With ``weights`` (K, rows), the K mixtures E(sum_s w[k, s] |enc_s><enc_s|)
+        that the encoder's channel leaves instead, (K, 2**n, 2**n).
+        """
+        states = encode_batch(inputs, enc_spec)
+        if weights is None:
+            return states
+        mixed = np.einsum("ks,sa,sb->kab", weights, states, states.conj())
+        if self.noise is None:
+            return mixed
+        return apply_channel_every_qubit(mixed, self.noise, self.n_qubits)
 
-    def expect(self, states: np.ndarray, obs: PauliString) -> np.ndarray:
-        return expectation_batch(states, obs, self.n_qubits)
+    def apply(self, ops: np.ndarray, unitaries: np.ndarray | None = None) -> np.ndarray:
+        """Carry a (K, 2**n, 2**n) operator stack back through a channel and circuits.
 
-    def expect_set(self, states: np.ndarray, obs_set: ObservableSet) -> np.ndarray:
-        return np.stack(
-            [expectation_batch(states, obs, self.n_qubits) for obs in obs_set.observables],
-            axis=1,
-        )
+        Returns E^dag(U_k^dag A_k U_k) for each operator A_k and its unitary
+        U_k, the Heisenberg picture of the channel followed by the circuit,
+        or E^dag(A_k) without unitaries, of the channel alone.
+        """
+        if unitaries is not None:
+            ops = unitaries.conj().swapaxes(-1, -2) @ ops @ unitaries
+        if self.noise is None:
+            return ops
+        return apply_channel_every_qubit(ops, self.noise, self.n_qubits, adjoint=True)
 
+    def expect(self, states: np.ndarray, ops: np.ndarray) -> np.ndarray:
+        """Re <psi|A|psi> of every state row for every operator.
 
-class NoisyEngine:
-    """Density-matrix evaluation with a channel on every qubit after each circuit."""
-
-    def __init__(self, n_qubits: int, channel: NoiseChannel):
-        self.n_qubits = n_qubits
-        self.channel = channel
-
-    def _noisy_ansatz(self, rhos: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
-        rhos = run_ansatz_batch(
-            rhos, spec, angles, apply_rotation_dm_batch, apply_cnot_dm_batch
-        )
-        for q in range(self.n_qubits):
-            rhos = apply_channel_batch(rhos, self.channel, q, self.n_qubits)
-        return rhos
-
-    def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec) -> np.ndarray:
-        rhos = zero_density_batch(self.n_qubits, inputs.shape[0])
-        for q in range(self.n_qubits):
-            rhos = apply_gate_dm_batch(rhos, Gate("H", q), self.n_qubits)
-        return self._noisy_ansatz(rhos, enc_spec, inputs)
-
-    def apply(self, states: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
-        return self._noisy_ansatz(states, spec, angles)
-
-    def expect(self, states: np.ndarray, obs: PauliString) -> np.ndarray:
-        return np.clip(expectation_dm_batch(states, obs, self.n_qubits), -1.0, 1.0)
-
-    def expect_set(self, states: np.ndarray, obs_set: ObservableSet) -> np.ndarray:
-        return np.stack([self.expect(states, obs) for obs in obs_set.observables], axis=1)
-
-
-def make_engine(n_qubits: int, noise: NoiseChannel | None):
-    """Pick the evaluation backend; p = 0 short-circuits to the pure path."""
-    if noise is None or noise.p == 0.0:
-        return PureEngine(n_qubits)
-    return NoisyEngine(n_qubits, noise)
-
-
-def z1_observable(n_qubits: int) -> PauliString:
-    return PauliString.single("Z", 0, n_qubits)
+        ``states`` (..., R, 2**n) and ``ops`` (..., K, 2**n, 2**n) give (..., R, K).
+        """
+        moved = np.einsum("...kab,...rb->...rka", ops, states)
+        return np.einsum("...ra,...rka->...rk", states.conj(), moved).real
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +259,12 @@ def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
     return AttentionMatrix(raw / raw.sum(axis=1, keepdims=True))
 
 
+def measured_quantities(size: int) -> tuple[list[int], list[int]]:
+    """Circuit (0 query, 1 key, 2 value) and observable index of each measured quantity:
+    Z_1, every set's first observable, after Q and K, then all ``size`` after V."""
+    return [0, 1] + [2] * size, [0, 0] + list(range(size))
+
+
 @dataclass(frozen=True)
 class LayerTrace:
     """Everything one layer forward computed, as the backward pass needs it.
@@ -287,7 +274,8 @@ class LayerTrace:
     """
 
     inputs: np.ndarray  # (S, d) layer inputs
-    encoded: np.ndarray  # encoder states, one per word
+    measured: np.ndarray  # (d, 2**n, 2**n) E^dag(O) for each observable O
+    effective: np.ndarray  # (2 + d, 2**n, 2**n) M of each measured quantity
     zq: np.ndarray  # (S,) <Z_1> after the query circuit
     zk: np.ndarray  # (S,) <Z_1> after the key circuit
     values: np.ndarray  # (S, d) value-circuit expectations
@@ -305,25 +293,26 @@ def layer_forward(
 ) -> LayerTrace:
     """One attention layer: y_s = x_s + sum_j coeff[s, j] * o_j, with its trace.
 
-    Encoder states are prepared once per word and reused across the three
-    measurement circuits.
+    The query, key and value unitaries come from one ansatz run, and one
+    contraction measures all 2 + d effective observables on the words'
+    encoder states.
     """
     xs = _check_inputs(inputs, params)
     if obs.size != xs.shape[1]:
         raise ConfigurationError(
             f"need {xs.shape[1]} observables to match the input dimension, got {obs.size}"
         )
-    engine = make_engine(params.n_qubits, noise)
+    engine = Engine(params.n_qubits, noise)
     encoded = engine.prepare(xs, params.enc_spec)
-    z1 = z1_observable(params.n_qubits)
-    zq = engine.expect(engine.apply(encoded, params.qkv_spec, params.theta_q.values), z1)
-    zk = engine.expect(engine.apply(encoded, params.qkv_spec, params.theta_k.values), z1)
-    values = engine.expect_set(
-        engine.apply(encoded, params.qkv_spec, params.theta_v.values), obs
-    )
-    zq = _maybe_sample(zq, shots, rng)
-    zk = _maybe_sample(zk, shots, rng)
-    values = _maybe_sample(values, shots, rng)
+    thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
+    unitaries = ansatz_unitaries(params.qkv_spec, thetas)
+    measured = engine.apply(obs.matrices)
+    circuits, observables = measured_quantities(obs.size)
+    effective = engine.apply(measured[observables], unitaries[circuits])
+    expectations = np.clip(engine.expect(encoded, effective), -1.0, 1.0)
+    zq = _maybe_sample(expectations[:, 0], shots, rng)
+    zk = _maybe_sample(expectations[:, 1], shots, rng)
+    values = _maybe_sample(expectations[:, 2:], shots, rng)
     attention = gpqsa_coefficients(zq, zk)
     outputs = xs + attention.coefficients @ values
-    return LayerTrace(xs, encoded, zq, zk, values, attention, outputs)
+    return LayerTrace(xs, measured, effective, zq, zk, values, attention, outputs)

@@ -84,6 +84,8 @@ class RunConfig:
                 )
         elif self.embed_dim is None:
             self.embed_dim = 16
+        if self.model == "qsann":  # geometry and memory-budget checks
+            model_mod.ModelConfig(self.n_qubits, self.enc_depth, self.qkv_depth, self.n_layers)
         if self.noise_kind is not None and self.model != "qsann":
             raise ConfigurationError("noise settings apply only to the quantum model")
         if self.noise_kind is not None:
@@ -323,47 +325,38 @@ def cmd_train(args) -> int:
     return 1 if summary["aborted"] else 0
 
 
-def _dataset_from_checkpoint(doc: dict, dataset_override: str | None) -> data.Dataset:
+def _load_checkpoint_split(args) -> tuple:
+    """(model, vocabulary, split, noise) of ``--checkpoint``, its dataset rebuilt and checked."""
+    model, vocab, doc = checkpoint.load_checkpoint(args.checkpoint)
     meta = doc.get("dataset") or {}
-    path = dataset_override or meta.get("source_path")
+    path = args.dataset or meta.get("source_path")
     if not path:
         raise ConfigurationError("checkpoint records no dataset path; pass --dataset")
     if not Path(path).exists():
         raise ConfigurationError(f"dataset not found: {path}")
-    samples = data.load_tsv(path)
-    return data.build_splits(
-        samples,
+    dataset = data.build_splits(
+        data.load_tsv(path),
         meta.get("ratios", [0.8, 0.2]),
         meta.get("split_seed", 0),
         drop_empty=meta.get("drop_empty", True),
     )
-
-
-def _checkpoint_noise(doc: dict) -> NoiseChannel | None:
-    meta = doc.get("dataset") or {}
-    kind = meta.get("noise_kind")
-    p = meta.get("noise_p")
-    if kind is None or not p:
-        return None
-    return NoiseChannel(kind, p)
-
-
-def cmd_eval(args) -> int:
-    model, vocab, doc = checkpoint.load_checkpoint(args.checkpoint)
-    dataset = _dataset_from_checkpoint(doc, args.dataset)
     if dataset.vocabulary.content_hash() != doc["vocab_sha256"]:
         raise ConfigurationError(
             "vocabulary hash mismatch: dataset splits do not match the checkpoint"
         )
-    split = dataset.splits[args.split]
+    kind, p = meta.get("noise_kind"), meta.get("noise_p")
+    noise = NoiseChannel(kind, p) if kind is not None and p else None
+    return model, vocab, dataset.splits[args.split], noise
+
+
+def cmd_eval(args) -> int:
+    model, _, split, noise = _load_checkpoint_split(args)
     if not split:
         raise ConfigurationError(f"{args.split} split is empty")
     if args.shots is not None and not isinstance(model, model_mod.QsannModel):
         raise ConfigurationError("shot sampling applies only to the quantum model")
     rng = np.random.default_rng(args.shot_seed)
-    accuracy, mean_loss = training.evaluate(
-        split, model, _checkpoint_noise(doc), args.shots, rng
-    )
+    accuracy, mean_loss = training.evaluate(split, model, noise, args.shots, rng)
     report = {
         "schema_version": SCHEMA_VERSION,
         "checkpoint": str(args.checkpoint),
@@ -380,15 +373,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attention(args) -> int:
-    model, vocab, doc = checkpoint.load_checkpoint(args.checkpoint)
+    model, vocab, split, noise = _load_checkpoint_split(args)
     if not isinstance(model, model_mod.QsannModel):
         raise ConfigurationError("attention export applies only to the quantum model")
-    dataset = _dataset_from_checkpoint(doc, args.dataset)
-    if dataset.vocabulary.content_hash() != doc["vocab_sha256"]:
-        raise ConfigurationError(
-            "vocabulary hash mismatch: dataset splits do not match the checkpoint"
-        )
-    split = dataset.splits[args.split]
     indices = _parse_int_list(args.indices)
     for idx in indices:
         if not 0 <= idx < len(split):
@@ -397,7 +384,6 @@ def cmd_attention(args) -> int:
             )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    noise = _checkpoint_noise(doc)
     for idx in indices:
         item = split[idx]
         words = vocab.decode(item.token_ids)

@@ -19,9 +19,11 @@ softmax-style Jacobian of the row normalization.  The gradient with respect
 to a layer input splits into residual, value, query and key contributions;
 layers are traversed last to first so stacked models backpropagate.
 
-Shifted evaluations are batched (all parameters, both signs, all words in
-one simulator call) purely for speed; results are identical to one-at-a-time
-shifts.
+The shifts act on the engine's operators (``attention.Engine``): each
+shifted angle gives two unitaries, measured on one density matrix per
+measured quantity, rho_w = sum_s w[s] |enc_s><enc_s| with w its upstream
+gradient, and each word's shifted encoder rows are measured with one
+effective observable, sum_k w_k[s] M_k.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
+from .ansatz import ansatz_unitaries
 from .attention import (
+    Engine,
     LayerTrace,
     ObservableSet,
     QsalLayerParams,
-    make_engine,
-    z1_observable,
+    measured_quantities,
 )
 from .model import QsannModel
 from .sim import NoiseChannel
@@ -78,48 +81,17 @@ def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Shifted-evaluation helpers
+# Layer backward
 
 
-def _tile_states(states: np.ndarray, reps: int) -> np.ndarray:
-    return np.tile(states, (reps,) + (1,) * (states.ndim - 1))
-
-
-def _theta_shift_expectations(engine, encoded, spec, theta, obs, obs_set):
-    """Expectations under every single-angle +/- pi/2 shift of theta.
-
-    Returns (z_shift, value_shift): z_shift has shape (P, 2, S) for the
-    Z_1 observable, value_shift (P, 2, S, d) for the observable set; either
-    is None when the corresponding output is not requested.
-    """
-    count = theta.shape[0]
-    n_states = encoded.shape[0]
-    stack = np.broadcast_to(theta, (count, 2, count)).copy()
-    idx = np.arange(count)
-    stack[idx, 0, idx] += np.pi / 2.0
-    stack[idx, 1, idx] -= np.pi / 2.0
-    angle_rows = np.repeat(stack.reshape(2 * count, count), n_states, axis=0)
-    states = engine.apply(_tile_states(encoded, 2 * count), spec, angle_rows)
-    z_shift = None
-    if obs is not None:
-        z_shift = engine.expect(states, obs).reshape(count, 2, n_states)
-    value_shift = None
-    if obs_set is not None:
-        value_shift = engine.expect_set(states, obs_set).reshape(
-            count, 2, n_states, obs_set.size
-        )
-    return z_shift, value_shift
-
-
-def _input_shift_batch(u: np.ndarray) -> np.ndarray:
-    """(S * d * 2, d) encoder-angle rows with every entry shifted both ways."""
-    n_words, dim = u.shape
-    stack = np.broadcast_to(u[:, None, None, :], (n_words, dim, 2, dim)).copy()
-    rows = np.arange(n_words)[:, None]
-    cols = np.arange(dim)[None, :]
-    stack[rows, cols, 0, cols] += np.pi / 2.0
-    stack[rows, cols, 1, cols] -= np.pi / 2.0
-    return stack.reshape(n_words * dim * 2, dim)
+def _shift_rows(rows: np.ndarray) -> np.ndarray:
+    """(R, c, 2, c) copies of (R, c) angle rows with entry j shifted by +/- pi/2."""
+    count, dim = rows.shape
+    stack = np.broadcast_to(rows[:, None, None, :], (count, dim, 2, dim)).copy()
+    idx = np.arange(dim)
+    stack[:, idx, 0, idx] += np.pi / 2.0
+    stack[:, idx, 1, idx] -= np.pi / 2.0
+    return stack
 
 
 def layer_backward(
@@ -135,11 +107,9 @@ def layer_backward(
     d_theta_v, d_u) where d_u is the gradient with respect to the layer
     inputs (residual + value + query + key parts).
     """
-    u, encoded, zq, zk = trace.inputs, trace.encoded, trace.zq, trace.zk
+    u, zq, zk = trace.inputs, trace.zq, trace.zk
     alpha, values = trace.attention.coefficients, trace.values
-    engine = make_engine(layer.n_qubits, noise)
-    z1 = z1_observable(layer.n_qubits)
-    qkv_spec = layer.qkv_spec
+    engine = Engine(layer.n_qubits, noise)
 
     beta = g @ values.T
     beta_bar = np.sum(alpha * beta, axis=1)
@@ -147,46 +117,35 @@ def layer_backward(
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - beta_bar[:, None])
     d_zk = attn_term.sum(axis=0)
     d_zq = -attn_term.sum(axis=1)
+    # weight of each word in each measured quantity, rows ordered as trace.effective
+    weights = np.vstack([d_zq, d_zk, d_values.T])
 
-    zq_shift, _ = _theta_shift_expectations(
-        engine, encoded, qkv_spec, layer.theta_q.values, z1, None
-    )
-    zk_shift, _ = _theta_shift_expectations(
-        engine, encoded, qkv_spec, layer.theta_k.values, z1, None
-    )
-    _, val_shift = _theta_shift_expectations(
-        engine, encoded, qkv_spec, layer.theta_v.values, None, obs
-    )
-    dzq_dtheta = (zq_shift[:, 0, :] - zq_shift[:, 1, :]) / 2.0  # (P, S)
-    dzk_dtheta = (zk_shift[:, 0, :] - zk_shift[:, 1, :]) / 2.0
-    dval_dtheta = (val_shift[:, 0] - val_shift[:, 1]) / 2.0  # (P, S, d)
-    d_theta_q = dzq_dtheta @ d_zq
-    d_theta_k = dzk_dtheta @ d_zk
-    d_theta_v = np.einsum("psd,sd->p", dval_dtheta, d_values)
+    # Angle gradients: sum_s w[s] <enc_s|M|enc_s> = Tr[E^dag(O) U rho U^dag] with
+    # rho = E(sum_s w[s] |enc_s><enc_s|), for the +/- pi/2-shifted unitaries U.
+    # One circuit at a time keeps a single (2P, 2**n, 2**n) stack alive.
+    thetas = np.stack([layer.theta_q.values, layer.theta_k.values, layer.theta_v.values])
+    shift_rows = _shift_rows(thetas).reshape(3, -1, thetas.shape[1])  # +, - per angle
+    rhos = engine.prepare(u, layer.enc_spec, weights)
+    circuits, observables = measured_quantities(obs.size)
+    d_theta = np.zeros_like(thetas)
+    for circuit, rows in enumerate(shift_rows):
+        shifted = ansatz_unitaries(layer.qkv_spec, rows)
+        for k in np.flatnonzero(np.equal(circuits, circuit)):
+            moved = shifted @ rhos[k] @ shifted.conj().swapaxes(-1, -2)
+            traces = np.einsum("ab,pba->p", trace.measured[observables[k]], moved).real
+            d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
 
-    # Gradient with respect to the layer inputs: the encoder circuit's
-    # angles are the input entries, so shift them the same way.
-    n_words, dim = u.shape
-    shifted_inputs = _input_shift_batch(u)
-    enc_shifted = engine.prepare(shifted_inputs, layer.enc_spec)
-    eq = engine.expect(
-        engine.apply(enc_shifted, qkv_spec, layer.theta_q.values), z1
-    ).reshape(n_words, dim, 2)
-    ek = engine.expect(
-        engine.apply(enc_shifted, qkv_spec, layer.theta_k.values), z1
-    ).reshape(n_words, dim, 2)
-    ev = engine.expect_set(
-        engine.apply(enc_shifted, qkv_spec, layer.theta_v.values), obs
-    ).reshape(n_words, dim, 2, obs.size)
-    dzq_du = (eq[:, :, 0] - eq[:, :, 1]) / 2.0  # (S, d)
-    dzk_du = (ek[:, :, 0] - ek[:, :, 1]) / 2.0
-    dval_du = (ev[:, :, 0, :] - ev[:, :, 1, :]) / 2.0  # (S, d, d_obs)
-
-    d_u = g.copy()
-    d_u += np.einsum("si,sri->sr", d_values, dval_du)
-    d_u += d_zq[:, None] * dzq_du
-    d_u += d_zk[:, None] * dzk_du
-    return d_theta_q, d_theta_k, d_theta_v, d_u
+    # Gradient with respect to the layer inputs: the encoder circuit's angles
+    # are the input entries, so shift them the same way and measure each
+    # word's effective observable sum_k w[k, s] M_k on its shifted rows.
+    (n_words, width), dim = u.shape, 2**layer.n_qubits
+    per_word = np.einsum("ks,kab->sab", weights, trace.effective)
+    enc_shifted = engine.prepare(_shift_rows(u).reshape(-1, width), layer.enc_spec)
+    shifted_values = engine.expect(
+        enc_shifted.reshape(n_words, 2 * width, dim), per_word[:, None]
+    ).reshape(n_words, width, 2)
+    d_u = g + (shifted_values[:, :, 0] - shifted_values[:, :, 1]) / 2.0
+    return d_theta[0], d_theta[1], d_theta[2], d_u
 
 
 def backward(

@@ -24,6 +24,9 @@ from .data import EmbeddingTable
 from .errors import ConfigurationError, EmptySequenceError
 from .sim import NoiseChannel
 
+# Memory the attention engine's operator stacks may take (see ModelConfig).
+ENGINE_MEMORY_BUDGET = 1 << 30
+
 
 def sigmoid(z: float) -> float:
     if z >= 0:
@@ -48,6 +51,15 @@ class ModelConfig:
             raise ConfigurationError("need at least one attention layer")
         if self.lam < 0 or self.gamma < 0:
             raise ConfigurationError("regularization coefficients must be >= 0")
+        # A layer's backward pass holds the 6P shifted query/key/value unitaries
+        # and the 2 + d effective observables, each 2**n x 2**n complex.
+        p = self.n_qubits * (self.qkv_depth + 2)
+        need = 16 * 4**self.n_qubits * (6 * p + 2 + self.embed_dim)
+        if need > ENGINE_MEMORY_BUDGET:
+            raise ConfigurationError(
+                f"geometry needs {need} bytes of operators (16 B * 4**n * (6P + 2 + d)), "
+                f"over the {ENGINE_MEMORY_BUDGET}-byte budget"
+            )
 
     @property
     def embed_dim(self) -> int:

@@ -1,17 +1,19 @@
 """Exact simulation of small n-qubit systems.
 
 Pure states are complex amplitude vectors of length 2**n; mixed states are
-2**n x 2**n density matrices, used for noisy circuits.  Convention used
-everywhere in this package: qubit 0 is the most significant bit of an
-amplitude index, so the observable conventionally written Z_1 acts on qubit
-index 0.
+2**n x 2**n density matrices.  Convention used everywhere in this package:
+qubit 0 is the most significant bit of an amplitude index, so the observable
+conventionally written Z_1 acts on qubit index 0.
 
 Gates are applied as strided index-pair updates on the amplitude array.  The
-explicit Kronecker-product construction (``circuit_unitary``,
-``pauli_matrix``) is kept only as an independent reference path for tests.
-All internal kernels operate on batches of states, shape ``(batch, 2**n)``
-for pure states and ``(batch, 2**n, 2**n)`` for density matrices; the public
-single-state API wraps batch size 1.
+density-matrix kernels are the tests' reference for the attention layer,
+which applies noise to operators with ``apply_channel_every_qubit`` instead.
+The explicit Kronecker-product construction (``circuit_unitary``) is kept
+only as an independent reference path for tests; ``pauli_matrix`` also
+gives the layer its observable matrices.  All internal kernels operate on
+batches, shape ``(batch, 2**n)`` for pure states and ``(batch, 2**n, 2**n)``
+for density matrices and operators; the public single-state API wraps batch
+size 1.
 """
 
 from __future__ import annotations
@@ -385,21 +387,10 @@ def apply_gate_dm_batch(rhos: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
     return _dm_conjugate_1q(rhos, mat, gate.target, n_qubits)
 
 
-def apply_cnot_dm_batch(
-    rhos: np.ndarray, control: int, target: int, n_qubits: int
-) -> np.ndarray:
-    return apply_gate_dm_batch(rhos, Gate("CNOT", target, control=control), n_qubits)
-
-
 def apply_rotation_dm_batch(
     rhos: np.ndarray, kind: str, qubit: int, angles, n_qubits: int
 ) -> np.ndarray:
-    batch, dim, _ = rhos.shape
-    mat = _rotation_matrix(kind, angles)
-    t = _apply_2x2_on_axis(_dm_rows(rhos, n_qubits), mat, 1 + qubit)
-    t = t.reshape(batch, dim, dim)
-    t = _apply_2x2_on_axis(_dm_cols(t, n_qubits), mat.conj(), 2 + qubit)
-    return t.reshape(batch, dim, dim)
+    return _dm_conjugate_1q(rhos, _rotation_matrix(kind, angles), qubit, n_qubits)
 
 
 def apply_channel_batch(
@@ -409,6 +400,27 @@ def apply_channel_batch(
     for kraus in channel.kraus_operators():
         out += _dm_conjugate_1q(rhos, kraus, qubit, n_qubits)
     return out
+
+
+def apply_channel_every_qubit(
+    ops: np.ndarray, channel: NoiseChannel, n_qubits: int, adjoint: bool = False
+) -> np.ndarray:
+    """``channel`` on every qubit of a (batch, 2**n, 2**n) operator stack.
+
+    With ``adjoint``, its Heisenberg-picture adjoint A -> sum_K K^dag A K.
+    Each qubit is one contraction of its row and column axes with the
+    superoperator S[a', b', a, b] = sum_K K[a', a] K*[b', b].
+    """
+    kraus = channel.kraus_operators()
+    if adjoint:
+        kraus = [k.conj().T for k in kraus]
+    sup = sum(np.einsum("ca,db->cdab", k, k.conj()) for k in kraus)
+    batch, dim, _ = ops.shape
+    for q in range(n_qubits):
+        lo, hi = 2**q, dim >> (q + 1)
+        t = np.tensordot(ops.reshape(batch, lo, 2, hi, lo, 2, hi), sup, ([2, 5], [2, 3]))
+        ops = np.moveaxis(t, (5, 6), (2, 5)).reshape(batch, dim, dim)
+    return ops
 
 
 def expectation_dm_batch(

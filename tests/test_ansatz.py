@@ -6,6 +6,7 @@ import pytest
 from qsann.ansatz import (
     AnsatzSpec,
     ParamVector,
+    ansatz_unitaries,
     build_circuit,
     circuit_expectation,
     encode_batch,
@@ -219,3 +220,13 @@ class TestBatchedRunner:
         spec = AnsatzSpec(2, 1)
         with pytest.raises(ConfigurationError):
             run_ansatz_batch(np.zeros((1, 4), dtype=complex), spec, np.zeros(5))
+
+    @pytest.mark.parametrize("n,depth", [(1, 0), (2, 1), (3, 2)])
+    def test_unitaries_match_kronecker_oracle(self, rng, n, depth):
+        spec = AnsatzSpec(n, depth)
+        # build_circuit wraps angles into [0, 2 pi), which flips a rotation's sign
+        angles = rng.uniform(0, 2 * np.pi, (4, spec.param_count))
+        got = ansatz_unitaries(spec, angles)
+        for row, unitary in zip(angles, got):
+            want = circuit_unitary(build_circuit(spec, row), n)
+            assert np.max(np.abs(unitary - want)) < 1e-12

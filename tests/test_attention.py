@@ -1,25 +1,31 @@
+import copy
+
 import numpy as np
 import pytest
 
 from qsann.ansatz import AnsatzSpec, ParamVector, build_circuit
 from qsann.attention import (
     AttentionMatrix,
-    NoisyEngine,
+    Engine,
     ObservableSet,
-    PureEngine,
     QsalLayerParams,
     gpqsa_coefficients,
     layer_forward,
-    make_engine,
 )
 from qsann.errors import ConfigurationError, EmptySequenceError
+from qsann.gradients import layer_backward
 from qsann.sim import (
     Gate,
     NoiseChannel,
     PauliString,
+    apply_channel_batch,
+    apply_gate_dm_batch,
+    apply_rotation_dm_batch,
     circuit_unitary,
+    expectation_dm_batch,
     init_zero_state,
     pauli_matrix,
+    zero_density_batch,
 )
 
 
@@ -216,14 +222,14 @@ class TestLayerForward:
         assert np.array_equal(out_a, out_b)
 
     def test_residual_identity_with_zero_values(self, rng, monkeypatch):
-        # forcing the measured value vectors to zero must give y = x exactly
+        # forcing the measured expectations to zero must give y = x exactly
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
         monkeypatch.setattr(
-            PureEngine,
-            "expect_set",
-            lambda self, states, obs_set: np.zeros((states.shape[0], obs_set.size)),
+            Engine,
+            "expect",
+            lambda self, states, ops: np.zeros(states.shape[:-1] + ops.shape[-3:-2]),
         )
         assert np.array_equal(layer_forward(xs, layer, obs).outputs, xs)
 
@@ -239,7 +245,6 @@ class TestLayerForward:
 
 class TestNoisyLayer:
     def test_p_zero_short_circuits_to_pure(self, rng):
-        assert isinstance(make_engine(2, NoiseChannel("depolarizing", 0.0)), PureEngine)
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
@@ -247,10 +252,14 @@ class TestNoisyLayer:
         zeroed = layer_forward(xs, layer, obs, noise=NoiseChannel("depolarizing", 0.0))
         assert np.array_equal(clean, zeroed.outputs)
 
-    def test_noisy_engine_selected(self):
-        assert isinstance(
-            make_engine(2, NoiseChannel("amplitude_damping", 0.2)), NoisyEngine
-        )
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    def test_noise_changes_outputs(self, rng, kind):
+        layer = random_layer(rng)
+        obs = ObservableSet.default(2, 6)
+        xs = rng.uniform(-1, 1, (3, 6))
+        clean = layer_forward(xs, layer, obs).outputs
+        noisy = layer_forward(xs, layer, obs, noise=NoiseChannel(kind, 0.2)).outputs
+        assert np.max(np.abs(noisy - clean)) > 1e-3
 
     def test_noisy_rows_still_stochastic(self, rng):
         layer = random_layer(rng)
@@ -262,16 +271,14 @@ class TestNoisyLayer:
             assert np.all(np.isfinite(trace.outputs))
 
     def test_pure_and_noisy_agree_without_noise(self, rng):
-        # density-matrix engine with a p=0 channel object forced in
+        # density matrices with a p=0 channel applied against the pure layer
         layer = random_layer(rng)
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        engine = NoisyEngine(2, NoiseChannel("depolarizing", 0.0))
-        encoded = engine.prepare(xs, layer.enc_spec)
-        values = engine.expect_set(
-            engine.apply(encoded, layer.qkv_spec, layer.theta_v.values), obs
-        )
-        assert np.allclose(values, layer_forward(xs, layer, obs).values, atol=1e-10)
+        zq, zk, values = dm_expectations(xs, layer, obs, NoiseChannel("depolarizing", 0.0))
+        trace = layer_forward(xs, layer, obs)
+        assert np.allclose(values, trace.values, atol=1e-10)
+        assert np.allclose(zq, trace.zq, atol=1e-10) and np.allclose(zk, trace.zk, atol=1e-10)
 
     def test_depolarizing_shrinks_projections(self, rng):
         layer = random_layer(rng)
@@ -311,3 +318,118 @@ class TestShotSampling:
     def test_shots_below_one_rejected(self, rng, shots):
         with pytest.raises(ConfigurationError):
             traced(np.zeros((1, 6)), random_layer(rng), shots=shots, rng=rng)
+
+
+# ---------------------------------------------------------------------------
+# Density-matrix reference: each word's state evolves as a 2**n x 2**n matrix
+# through the Hadamard layer, the encoder, the query/key/value circuits and a
+# channel on every qubit after each circuit, as a noisy device would run it.
+
+
+def _dm_ansatz(rhos, spec, angles, noise):
+    n = spec.n_qubits
+    angles = np.broadcast_to(angles, (rhos.shape[0], spec.param_count))
+    for q in range(n):
+        rhos = apply_rotation_dm_batch(rhos, "RX", q, angles[:, q], n)
+    for q in range(n):
+        rhos = apply_rotation_dm_batch(rhos, "RY", q, angles[:, n + q], n)
+    for block in range(spec.depth):
+        if n > 1:
+            for q in range(n):
+                rhos = apply_gate_dm_batch(rhos, Gate("CNOT", (q + 1) % n, control=q), n)
+        for q in range(n):
+            rhos = apply_rotation_dm_batch(rhos, "RY", q, angles[:, (2 + block) * n + q], n)
+    for q in range(n):
+        rhos = apply_channel_batch(rhos, noise, q, n)
+    return rhos
+
+
+def dm_expectations(xs, layer, obs, noise):
+    """(zq, zk, values) of every word, from density matrices."""
+    n = layer.n_qubits
+    xs = np.atleast_2d(xs)
+    rhos = zero_density_batch(n, xs.shape[0])
+    for q in range(n):
+        rhos = apply_gate_dm_batch(rhos, Gate("H", q), n)
+    encoded = _dm_ansatz(rhos, layer.enc_spec, xs, noise)
+    measured = []
+    for theta, observables in [
+        (layer.theta_q, obs.observables[:1]),
+        (layer.theta_k, obs.observables[:1]),
+        (layer.theta_v, obs.observables),
+    ]:
+        rhos = _dm_ansatz(encoded, layer.qkv_spec, theta.values, noise)
+        measured.append(
+            np.stack([expectation_dm_batch(rhos, o, n) for o in observables], axis=1)
+        )
+    return measured[0][:, 0], measured[1][:, 0], measured[2]
+
+
+def reference_backward(xs, layer, obs, g, noise):
+    """layer_backward's four gradients by parameter shift through the reference."""
+    zq, zk, values = dm_expectations(xs, layer, obs, noise)
+    alpha = gpqsa_coefficients(zq, zk).coefficients
+    beta = g @ values.T
+    term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - (alpha * beta).sum(1)[:, None])
+    upstream = (-term.sum(axis=1), term.sum(axis=0), alpha.T @ g)  # d_zq, d_zk, d_values
+
+    def per_word(shift_xs=xs, shift_layer=layer):
+        got = dm_expectations(shift_xs, shift_layer, obs, noise)
+        return sum((w * e).reshape(len(xs), -1).sum(axis=1) for w, e in zip(upstream, got))
+
+    d_theta = []
+    for name in ("theta_q", "theta_k", "theta_v"):
+        grad = np.zeros(layer.qkv_spec.param_count)
+        for j in range(grad.size):
+            sides = []
+            for sign in (1.0, -1.0):
+                shifted = copy.deepcopy(layer)
+                getattr(shifted, name).values[j] += sign * np.pi / 2.0
+                sides.append(per_word(shift_layer=shifted).sum())
+            grad[j] = (sides[0] - sides[1]) / 2.0
+        d_theta.append(grad)
+    d_u = g.copy()
+    for r in range(xs.shape[1]):
+        plus, minus = xs.copy(), xs.copy()
+        plus[:, r] += np.pi / 2.0
+        minus[:, r] -= np.pi / 2.0
+        d_u[:, r] += (per_word(plus) - per_word(minus)) / 2.0
+    return (*d_theta, d_u)
+
+
+NOISE_GRID = [
+    (kind, p, n)
+    for kind in ("depolarizing", "amplitude_damping")
+    for p in (0.0, 0.01, 0.1, 1.0)
+    for n in (1, 2, 4)
+]
+
+
+@pytest.mark.parametrize("kind,p,n", NOISE_GRID)
+class TestDensityMatrixReference:
+    def case(self, kind, p, n):
+        rng = np.random.default_rng(int(1000 * p) + 10 * n + len(kind))
+        layer = QsalLayerParams.create(n, 1, 1, rng=rng, std=0.8)
+        obs = ObservableSet.default(n, layer.input_dim)
+        xs = rng.uniform(-2, 2, (3, layer.input_dim))
+        return layer, obs, xs, NoiseChannel(kind, p), rng
+
+    def test_forward(self, kind, p, n):
+        layer, obs, xs, noise, _ = self.case(kind, p, n)
+        trace = layer_forward(xs, layer, obs, noise)
+        zq, zk, values = dm_expectations(xs, layer, obs, noise)
+        assert np.max(np.abs(trace.zq - zq)) < 1e-12
+        assert np.max(np.abs(trace.zk - zk)) < 1e-12
+        assert np.max(np.abs(trace.values - values)) < 1e-12
+        attention = gpqsa_coefficients(zq, zk).coefficients
+        assert np.max(np.abs(trace.attention.coefficients - attention)) < 1e-12
+        assert np.max(np.abs(trace.outputs - (xs + attention @ values))) < 1e-12
+
+    def test_backward(self, kind, p, n):
+        layer, obs, xs, noise, rng = self.case(kind, p, n)
+        g = rng.normal(size=xs.shape)
+        trace = layer_forward(xs, layer, obs, noise)
+        got = layer_backward(layer, obs, trace, g, noise)
+        want = reference_backward(xs, layer, obs, g, noise)
+        for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):
+            assert np.max(np.abs(a - b)) < 1e-12, name

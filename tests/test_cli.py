@@ -171,6 +171,7 @@ class TestRunConfig:
         ["train", "--set", "n_qubits=2.0"],
         ["train", "--set", "seeds=3"],
         ["noise-sweep", "--p-list", "abc"],
+        ["train", "--set", "n_qubits=20"],
     ],
 )
 def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
@@ -282,15 +283,19 @@ class TestCmdEval:
         bad.write_text("{oops")
         assert main(["eval", "--checkpoint", str(bad)]) == 2
 
-    def test_vocab_hash_mismatch(self, tmp_path, toy_tsv):
+    @pytest.mark.parametrize("command", ["eval", "attention"])
+    def test_vocab_hash_mismatch(self, tmp_path, toy_tsv, capsys, command):
         _, out = run_train(tmp_path, toy_tsv, name="hash_src")
         other = tmp_path / "other.tsv"
         data.write_tsv(data.make_separable_corpus(seed=99, n_samples=40), other)
+        extra = ["--indices", "0", "--out", str(tmp_path / "csv")] if command == "attention" else []
+        capsys.readouterr()
         code = main([
-            "eval", "--checkpoint", str(out / "seed_0" / "checkpoint.json"),
+            command, "--checkpoint", str(out / "seed_0" / "checkpoint.json"),
             "--dataset", str(other),
-        ])
+        ] + extra)
         assert code == 2
+        assert "vocabulary hash mismatch" in capsys.readouterr().err
 
     def test_empty_requested_split(self, tmp_path, toy_tsv):
         _, out = run_train(tmp_path, toy_tsv, name="dev_empty")

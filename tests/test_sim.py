@@ -11,6 +11,8 @@ from qsann.sim import (
     PauliString,
     StateVector,
     apply_channel,
+    apply_channel_batch,
+    apply_channel_every_qubit,
     apply_circuit,
     apply_gate,
     apply_gate_dm,
@@ -286,6 +288,23 @@ class TestNoiseChannels:
             assert abs(np.trace(out.entries) - 1.0) < 1e-10
             assert np.max(np.abs(out.entries - out.entries.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(out.entries).min() >= -1e-8
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_every_qubit_kernel_matches_kraus_sums(self, rng, kind, n):
+        # against the per-qubit Kraus kernel, and <E^dag(A), rho> = <A, E(rho)>
+        dim = 2**n
+        channel = NoiseChannel(kind, float(rng.uniform(0.05, 1.0)))
+        ops = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        want = ops
+        for q in range(n):
+            want = apply_channel_batch(want, channel, q, n)
+        assert np.max(np.abs(apply_channel_every_qubit(ops, channel, n) - want)) < 1e-12
+        adjoint = apply_channel_every_qubit(ops, channel, n, adjoint=True)
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho_out = apply_channel_every_qubit(rho[None], channel, n)[0]
+        for a, a_adj in zip(ops, adjoint):
+            assert abs(np.trace(a_adj @ rho) - np.trace(a @ rho_out)) < 1e-10
 
     def test_target_required_and_in_range(self):
         rho = density_from_state(init_zero_state(1))
