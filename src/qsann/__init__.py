@@ -1,7 +1,7 @@
 """Quantum self-attention neural network for binary text classification.
 
 Subpackages: ``sim`` (exact state/density simulation), ``ansatz`` (circuit
-topology and parameter-shift gradients), ``attention`` (the quantum
+topology, column operators and adjoint gradients), ``attention`` (the quantum
 self-attention layer), ``model`` (full network and loss), ``gradients`` /
 ``training`` (analytic backward pass and Adam loop), ``data`` (corpora),
 ``baselines`` (classical comparison models), ``checkpoint`` and ``cli``.

@@ -1,17 +1,23 @@
-"""Strongly entangling ansatz: topology, input encoding, parameter-shift rule.
+"""Strongly entangling ansatz: topology, input encoding, circuit gradients.
 
 The circuit is one RX column and one RY column (one angle per qubit each),
-followed by ``depth`` repetitions of a CNOT ring plus another RY column, for
-``n_qubits * (depth + 2)`` angles in total.  The ring uses control i ->
-target (i + 1) mod n; a one-qubit ring degenerates to no entangler.
+followed by ``depth`` repetitions of a CNOT ring (control i -> target
+(i + 1) mod n; none for one qubit) plus another RY column, for
+``n_qubits * (depth + 2)`` angles.  It serves as trainable query/key/value
+circuit and as the data encoder, whose angles are the input vector, after
+a Hadamard layer.
 
-The same topology serves both as trainable query/key/value circuit and as
-the data encoder, where the input vector supplies the angles after an
-initial Hadamard layer.
+A column's rotations commute, so each column is one 2**n x 2**n operator,
+the Kronecker product of its rotations (times the ring's permutation when
+a ring precedes it); a circuit's unitary is their ordered product.
+Gradients come from adjoint sweeps (Jones & Gacon, arXiv:2009.02823): with
+state rho_l and observable O_l both carried to column l, the derivative by
+its angle q is Im Tr[P_q rho_l O_l], P_q the column's Pauli on qubit q.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ from .sim import (
     apply_hadamard_layer_batch,
     apply_rotation_batch,
     expectation_batch,
+    rotation_matrix,
     zero_state_batch,
 )
 
@@ -81,17 +88,28 @@ def _as_angles(params, spec: AnsatzSpec) -> np.ndarray:
     return values
 
 
+def _columns(spec: AnsatzSpec) -> list[tuple[str, bool]]:
+    """(rotation kind, ring first?) of each column; column l has angles l*n ... l*n + n - 1."""
+    return [("RX", False), ("RY", False)] + [("RY", spec.n_qubits > 1)] * spec.depth
+
+
+def _check_width(spec: AnsatzSpec, angles) -> np.ndarray:
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.shape[-1] != spec.param_count:
+        raise ConfigurationError(
+            f"expected {spec.param_count} angles, got shape {angles.shape}"
+        )
+    return angles
+
+
 def build_circuit(spec: AnsatzSpec, params) -> list[Gate]:
     """Ordered gate list of the ansatz with the given angles."""
     angles = _as_angles(params, spec)
-    n = spec.n_qubits
-    gates = [Gate("RX", q, angle=angles[q]) for q in range(n)]
-    gates += [Gate("RY", q, angle=angles[n + q]) for q in range(n)]
-    for block in range(spec.depth):
-        if n > 1:
+    n, gates = spec.n_qubits, []
+    for column, (kind, ring) in enumerate(_columns(spec)):
+        if ring:
             gates += [Gate("CNOT", (q + 1) % n, control=q) for q in range(n)]
-        offset = 2 * n + block * n
-        gates += [Gate("RY", q, angle=angles[offset + q]) for q in range(n)]
+        gates += [Gate(kind, q, angle=angles[column * n + q]) for q in range(n)]
     return gates
 
 
@@ -101,37 +119,104 @@ def run_ansatz_batch(amps: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
     ``angles`` is either one vector of length param_count shared across the
     batch, or a (batch, param_count) array with one angle row per state.
     """
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape[-1] != spec.param_count:
-        raise ConfigurationError(
-            f"expected {spec.param_count} angles, got shape {angles.shape}"
-        )
+    angles = _check_width(spec, angles)
     n = spec.n_qubits
-    for q in range(n):
-        amps = apply_rotation_batch(amps, "RX", q, angles[..., q], n)
-    for q in range(n):
-        amps = apply_rotation_batch(amps, "RY", q, angles[..., n + q], n)
-    for block in range(spec.depth):
-        if n > 1:
+    for column, (kind, ring) in enumerate(_columns(spec)):
+        if ring:
             for q in range(n):
                 amps = apply_cnot_batch(amps, q, (q + 1) % n, n)
-        offset = 2 * n + block * n
         for q in range(n):
-            amps = apply_rotation_batch(amps, "RY", q, angles[..., offset + q], n)
+            amps = apply_rotation_batch(amps, kind, q, angles[..., column * n + q], n)
     return amps
 
 
-def ansatz_unitaries(spec: AnsatzSpec, angles) -> np.ndarray:
-    """(rows, 2**n, 2**n) unitaries of the ansatz, one per row of ``angles``.
+@functools.lru_cache(maxsize=None)
+def _cnot_ring(n_qubits: int) -> np.ndarray:
+    """Permutation matrix of the CNOT ring (read-only, cached per qubit count)."""
+    basis = np.eye(2**n_qubits, dtype=np.complex128)
+    for q in range(n_qubits):
+        basis = apply_cnot_batch(basis, q, (q + 1) % n_qubits, n_qubits)
+    ring = basis.T  # row j is Ring|j>, the j-th column of Ring
+    ring.setflags(write=False)
+    return ring
 
-    One ``run_ansatz_batch`` call on the basis rows: row j of block c is
-    U_c|j>, the j-th column of U_c.
-    """
-    angles = np.atleast_2d(np.asarray(angles, dtype=np.float64))
-    dim = 2**spec.n_qubits
-    basis = np.tile(np.eye(dim, dtype=np.complex128), (angles.shape[0], 1))
-    columns = run_ansatz_batch(basis, spec, np.repeat(angles, dim, axis=0))
-    return columns.reshape(-1, dim, dim).transpose(0, 2, 1)
+
+def column_operators(spec: AnsatzSpec, angles) -> np.ndarray:
+    """(..., depth + 2, 2**n, 2**n) column operators C_l for (..., param_count)
+    angles, qubit 0 leftmost; the circuit's unitary is C_{L-1} ... C_1 C_0."""
+    angles = _check_width(spec, angles)
+    n = spec.n_qubits
+    per_column = angles.reshape(angles.shape[:-1] + (spec.depth + 2, n))
+    rotations = rotation_matrix("RY", per_column)  # (..., L, n, 2, 2)
+    rotations[..., 0, :, :, :] = rotation_matrix("RX", per_column[..., 0, :])
+    ops = rotations[..., 0, :, :]
+    for q in range(1, n):
+        ops = np.einsum("...ab,...cd->...acbd", ops, rotations[..., q, :, :])
+        ops = ops.reshape(ops.shape[:-4] + (2 ** (q + 1), 2 ** (q + 1)))
+    if spec.depth and n > 1:
+        ops[..., 2:, :, :] = ops[..., 2:, :, :] @ _cnot_ring(n)
+    return ops
+
+
+def ansatz_unitaries(spec: AnsatzSpec, angles) -> np.ndarray:
+    """(rows, 2**n, 2**n) unitaries of the ansatz, one per row of ``angles``:
+    the ordered product of each row's column operators."""
+    columns = column_operators(spec, np.atleast_2d(angles)).swapaxes(0, 1)
+    return functools.reduce(lambda unitaries, ops: ops @ unitaries, columns)
+
+
+@functools.lru_cache(maxsize=None)
+def _generators(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2**n) tables of the column Pauli P on each qubit q, R(theta) =
+    exp(-i theta P / 2): row r of P_q holds phases[q, r] at column flips[q, r]."""
+    rows = np.arange(2**n_qubits)
+    bits = 1 << (n_qubits - 1 - np.arange(n_qubits))[:, None]  # qubit 0: top bit
+    flips = rows ^ bits
+    phases = np.where(rows & bits, 1j, -1j) if kind == "RY" else np.ones(flips.shape, complex)
+    for table in (flips, phases):
+        table.setflags(write=False)
+    return flips, phases
+
+
+def adjoint_operator_gradients(
+    spec: AnsatzSpec, angles, rhos: np.ndarray, observables: np.ndarray, groups
+) -> np.ndarray:
+    """(G, param_count) gradients of sum_k Tr[O_k U_g rho_k U_g^dag], g = groups[k], for
+    (G, param_count) ``angles`` and (K, 2**n, 2**n) ``rhos`` and ``observables``."""
+    columns = column_operators(spec, angles)
+    members = np.equal.outer(np.arange(len(columns)), groups).astype(np.float64)
+    for column in range(spec.depth + 2):
+        ops = columns[groups, column]
+        rhos = ops @ rhos @ ops.conj().swapaxes(-1, -2)
+    diagonal = np.arange(rhos.shape[-1])
+    grads = np.empty((len(columns), spec.depth + 2, spec.n_qubits))
+    for column, (kind, _) in reversed(list(enumerate(_columns(spec)))):
+        # Tr[P_q J] = sum_r P_q[r, r'] J[r', r], J = sum_k rho_k O_k per circuit
+        flips, phases = _generators(kind, spec.n_qubits)
+        joint = np.einsum("gk,kab->gab", members, rhos @ observables)
+        grads[:, column] = (phases * joint[:, flips, diagonal]).sum(-1).imag
+        ops = columns[groups, column]
+        rhos = ops.conj().swapaxes(-1, -2) @ rhos @ ops
+        observables = ops.conj().swapaxes(-1, -2) @ observables @ ops
+    return grads.reshape(len(columns), -1)
+
+
+def adjoint_row_gradients(
+    spec: AnsatzSpec, angles: np.ndarray, states: np.ndarray, duals: np.ndarray
+) -> np.ndarray:
+    """(rows, param_count) gradients of <psi_s|M_s|psi_s> by each row's angles, for states
+    psi_s that end with the ansatz of angle row s and duals lambda_s = M_s psi_s."""
+    n, rows = spec.n_qubits, states.shape[0]
+    pair = np.concatenate([states, duals])  # undo both with one kernel call
+    grads = np.empty((rows, spec.depth + 2, n))
+    for column, (kind, ring) in reversed(list(enumerate(_columns(spec)))):
+        flips, phases = _generators(kind, n)  # <lambda|P_q|psi>, P_q as for the operators
+        grads[:, column] = (pair[rows:, None].conj() * phases * pair[:rows, flips]).sum(-1).imag
+        for q in range(n):
+            pair = apply_rotation_batch(pair, kind, q, -np.tile(angles[:, column * n + q], 2), n)
+        if ring:
+            pair = pair @ _cnot_ring(n)
+    return grads.reshape(rows, -1)
 
 
 def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:

@@ -185,15 +185,12 @@ class Engine:
         self.n_qubits = n_qubits
         self.noise = noise if noise is not None and noise.p > 0.0 else None
 
-    def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec, weights=None) -> np.ndarray:
-        """Pure encoder states of the input rows, (rows, 2**n).
+    def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec) -> np.ndarray:
+        """Pure encoder states of the input rows, (rows, 2**n)."""
+        return encode_batch(inputs, enc_spec)
 
-        With ``weights`` (K, rows), the K mixtures E(sum_s w[k, s] |enc_s><enc_s|)
-        that the encoder's channel leaves instead, (K, 2**n, 2**n).
-        """
-        states = encode_batch(inputs, enc_spec)
-        if weights is None:
-            return states
+    def mix(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """E(sum_s w[k, s] |psi_s><psi_s|) for (K, rows) weights, (K, 2**n, 2**n)."""
         mixed = np.einsum("ks,sa,sb->kab", weights, states, states.conj())
         if self.noise is None:
             return mixed
@@ -274,6 +271,7 @@ class LayerTrace:
     """
 
     inputs: np.ndarray  # (S, d) layer inputs
+    encoded: np.ndarray  # (S, 2**n) pure encoder states
     measured: np.ndarray  # (d, 2**n, 2**n) E^dag(O) for each observable O
     effective: np.ndarray  # (2 + d, 2**n, 2**n) M of each measured quantity
     zq: np.ndarray  # (S,) <Z_1> after the query circuit
@@ -293,8 +291,8 @@ def layer_forward(
 ) -> LayerTrace:
     """One attention layer: y_s = x_s + sum_j coeff[s, j] * o_j, with its trace.
 
-    The query, key and value unitaries come from one ansatz run, and one
-    contraction measures all 2 + d effective observables on the words'
+    The query, key and value unitaries are products of column operators,
+    and one contraction measures all 2 + d effective observables on the words'
     encoder states.
     """
     xs = _check_inputs(inputs, params)
@@ -315,4 +313,4 @@ def layer_forward(
     values = _maybe_sample(expectations[:, 2:], shots, rng)
     attention = gpqsa_coefficients(zq, zk)
     outputs = xs + attention.coefficients @ values
-    return LayerTrace(xs, measured, effective, zq, zk, values, attention, outputs)
+    return LayerTrace(xs, encoded, measured, effective, zq, zk, values, attention, outputs)

@@ -5,6 +5,7 @@ model kind, configuration, every parameter array (base64-encoded float64
 bytes plus shape), the vocabulary, the observable list for quantum models,
 and the dataset recipe (path, ratios, split seed) needed to rebuild
 compatible splits.  Any format change requires a schema version bump.
+Every artifact file goes through ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +44,20 @@ def _decode_array(obj: dict) -> np.ndarray:
         raise ParseError(f"malformed parameter array: {exc}") from exc
 
 
+def write_atomic(path, write) -> None:
+    """Write ``path`` whole or not at all: ``write(handle)`` fills a sibling temp file."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, model, vocabulary: Vocabulary, dataset_meta: dict) -> None:
     kind = kind_of(model)
     doc = {
@@ -55,9 +72,7 @@ def save_checkpoint(path, model, vocabulary: Vocabulary, dataset_meta: dict) -> 
     observables = getattr(model, "observables", None)
     if observables is not None:
         doc["observables"] = [str(obs) for obs in observables.observables]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True)
-        handle.write("\n")
+    write_atomic(path, lambda handle: handle.write(json.dumps(doc, sort_keys=True) + "\n"))
 
 
 def _build_model(doc: dict):

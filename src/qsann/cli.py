@@ -192,14 +192,9 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigurationError(f"expected comma-separated integers, got {text!r}")
 
 
-def _json_line(row: dict) -> str:
-    return json.dumps(row, sort_keys=True)
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    checkpoint.write_atomic(path, lambda handle: handle.write(text))
 
 
 def _resolve_out_dir(args, config_hint: str) -> Path:
@@ -258,9 +253,8 @@ def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dir: Path) -> dic
         started = time.perf_counter()
         result = training.train(dataset, model, cfg.train_config(seed), noise=noise)
         elapsed = time.perf_counter() - started
-        with open(seed_dir / "metrics.jsonl", "w", encoding="utf-8") as handle:
-            for row in result.metrics:
-                handle.write(_json_line(row) + "\n")
+        lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in result.metrics)
+        checkpoint.write_atomic(seed_dir / "metrics.jsonl", lambda handle: handle.write(lines))
         _write_json(
             seed_dir / "timing.json",
             {
@@ -390,16 +384,9 @@ def cmd_attention(args) -> int:
         pred = model_mod.forward(item.token_ids, model, noise)
         for layer_idx, attn in enumerate(pred.attention):
             coeff = attn.coefficients
-            matrix_path = out_dir / f"sample{idx}_layer{layer_idx}_matrix.csv"
-            with open(matrix_path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(words)
-                writer.writerows(coeff.tolist())
-            avg_path = out_dir / f"sample{idx}_layer{layer_idx}_avg.csv"
-            with open(avg_path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(words)
-                writer.writerow(coeff.mean(axis=0).tolist())
+            for name, rows in (("matrix", coeff.tolist()), ("avg", [coeff.mean(axis=0).tolist()])):
+                path = out_dir / f"sample{idx}_layer{layer_idx}_{name}.csv"
+                checkpoint.write_atomic(path, lambda h: csv.writer(h).writerows([words] + rows))
         print(f"sample {idx} ({len(words)} words): wrote {len(pred.attention)} layer(s)")
     return 0
 

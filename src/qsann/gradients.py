@@ -1,11 +1,11 @@
 """Analytic gradients of the per-sample loss.
 
 Head gradients are closed-form; everything that flows through a quantum
-expectation uses the parameter-shift rule (two circuit evaluations at
-+/- pi/2), which is exact for the rotation gates used here, not a finite
-difference.  The rule also covers encoder angles, which is how gradients
-reach the embedding vectors: a word's embedding entries ARE the rotation
-angles of its encoder circuit.
+expectation comes from adjoint sweeps over the circuits' columns
+(``ansatz.adjoint_operator_gradients`` and ``adjoint_row_gradients``), which
+are exact, not finite differences.  The sweeps also cover encoder angles,
+which is how gradients reach the embedding vectors: a word's embedding
+entries ARE the rotation angles of its encoder circuit.
 
 For each attention layer with inputs u, normalized coefficients a[s, j],
 value vectors o[j] and upstream gradient g[s] = dL/dy[s]:
@@ -19,11 +19,9 @@ softmax-style Jacobian of the row normalization.  The gradient with respect
 to a layer input splits into residual, value, query and key contributions;
 layers are traversed last to first so stacked models backpropagate.
 
-The shifts act on the engine's operators (``attention.Engine``): each
-shifted angle gives two unitaries, measured on one density matrix per
-measured quantity, rho_w = sum_s w[s] |enc_s><enc_s| with w its upstream
-gradient, and each word's shifted encoder rows are measured with one
-effective observable, sum_k w_k[s] M_k.
+Measured quantity k (query/key Z_1, d values) weighs word s by its upstream
+gradient w_k[s]: circuit angles sweep rho_k = E(sum_s w_k[s] |enc_s><enc_s|)
+against E^dag(O_k), word s's encoder angles sweep against sum_k w_k[s] M_k.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .ansatz import ansatz_unitaries
+from .ansatz import adjoint_operator_gradients, adjoint_row_gradients
 from .attention import (
     Engine,
     LayerTrace,
@@ -84,16 +82,6 @@ def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:
 # Layer backward
 
 
-def _shift_rows(rows: np.ndarray) -> np.ndarray:
-    """(R, c, 2, c) copies of (R, c) angle rows with entry j shifted by +/- pi/2."""
-    count, dim = rows.shape
-    stack = np.broadcast_to(rows[:, None, None, :], (count, dim, 2, dim)).copy()
-    idx = np.arange(dim)
-    stack[:, idx, 0, idx] += np.pi / 2.0
-    stack[:, idx, 1, idx] -= np.pi / 2.0
-    return stack
-
-
 def layer_backward(
     layer: QsalLayerParams,
     obs: ObservableSet,
@@ -120,31 +108,17 @@ def layer_backward(
     # weight of each word in each measured quantity, rows ordered as trace.effective
     weights = np.vstack([d_zq, d_zk, d_values.T])
 
-    # Angle gradients: sum_s w[s] <enc_s|M|enc_s> = Tr[E^dag(O) U rho U^dag] with
-    # rho = E(sum_s w[s] |enc_s><enc_s|), for the +/- pi/2-shifted unitaries U.
-    # One circuit at a time keeps a single (2P, 2**n, 2**n) stack alive.
-    thetas = np.stack([layer.theta_q.values, layer.theta_k.values, layer.theta_v.values])
-    shift_rows = _shift_rows(thetas).reshape(3, -1, thetas.shape[1])  # +, - per angle
-    rhos = engine.prepare(u, layer.enc_spec, weights)
+    # Angle gradients: sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag]
+    # with rho_k = E(sum_s w_k[s] |enc_s><enc_s|), U the quantity's circuit.
     circuits, observables = measured_quantities(obs.size)
-    d_theta = np.zeros_like(thetas)
-    for circuit, rows in enumerate(shift_rows):
-        shifted = ansatz_unitaries(layer.qkv_spec, rows)
-        for k in np.flatnonzero(np.equal(circuits, circuit)):
-            moved = shifted @ rhos[k] @ shifted.conj().swapaxes(-1, -2)
-            traces = np.einsum("ab,pba->p", trace.measured[observables[k]], moved).real
-            d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
+    thetas = [layer.theta_q.values, layer.theta_k.values, layer.theta_v.values]
+    rhos, measured = engine.mix(trace.encoded, weights), trace.measured[observables]
+    d_theta = adjoint_operator_gradients(layer.qkv_spec, thetas, rhos, measured, circuits)
 
     # Gradient with respect to the layer inputs: the encoder circuit's angles
-    # are the input entries, so shift them the same way and measure each
-    # word's effective observable sum_k w[k, s] M_k on its shifted rows.
-    (n_words, width), dim = u.shape, 2**layer.n_qubits
-    per_word = np.einsum("ks,kab->sab", weights, trace.effective)
-    enc_shifted = engine.prepare(_shift_rows(u).reshape(-1, width), layer.enc_spec)
-    shifted_values = engine.expect(
-        enc_shifted.reshape(n_words, 2 * width, dim), per_word[:, None]
-    ).reshape(n_words, width, 2)
-    d_u = g + (shifted_values[:, :, 0] - shifted_values[:, :, 1]) / 2.0
+    # are the input entries, and word s measures M_s = sum_k w_k[s] M_k.
+    duals = np.einsum("ks,kas->sa", weights, trace.effective @ trace.encoded.T)
+    d_u = g + adjoint_row_gradients(layer.enc_spec, u, trace.encoded, duals)
     return d_theta[0], d_theta[1], d_theta[2], d_u
 
 

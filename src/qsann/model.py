@@ -51,14 +51,13 @@ class ModelConfig:
             raise ConfigurationError("need at least one attention layer")
         if self.lam < 0 or self.gamma < 0:
             raise ConfigurationError("regularization coefficients must be >= 0")
-        # A layer's backward pass holds the 6P shifted query/key/value unitaries
-        # and the 2 + d effective observables, each 2**n x 2**n complex.
-        p = self.n_qubits * (self.qkv_depth + 2)
-        need = 16 * 4**self.n_qubits * (6 * p + 2 + self.embed_dim)
+        # A layer's adjoint backward holds 3 (D_qkv + 2) column operators and, per
+        # measured quantity, its rho, its O and its effective observable (2**n x 2**n).
+        need = 16 * 4**self.n_qubits * (3 * (self.qkv_depth + 2) + 3 * (2 + self.embed_dim))
         if need > ENGINE_MEMORY_BUDGET:
             raise ConfigurationError(
-                f"geometry needs {need} bytes of operators (16 B * 4**n * (6P + 2 + d)), "
-                f"over the {ENGINE_MEMORY_BUDGET}-byte budget"
+                f"geometry needs {need} bytes of operators (16 B * 4**n * (3 (D_qkv + 2) "
+                f"+ 3 (2 + d))), over the {ENGINE_MEMORY_BUDGET}-byte budget"
             )
 
     @property

@@ -204,7 +204,7 @@ class NoiseChannel:
 # Batched kernels (internal).  ``arr`` always carries the batch on axis 0.
 
 
-def _rotation_matrix(kind: str, angle) -> np.ndarray:
+def rotation_matrix(kind: str, angle) -> np.ndarray:
     """2x2 rotation matrix; a batch of angles yields a (..., 2, 2) stack."""
     a = np.asarray(angle, dtype=np.float64)
     m = np.empty(a.shape + (2, 2), dtype=np.complex128)
@@ -294,7 +294,7 @@ def apply_gate_batch(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
         mat = (
             _FIXED_MATRICES[gate.kind]
             if gate.kind in _FIXED_MATRICES
-            else _rotation_matrix(gate.kind, gate.angle)
+            else rotation_matrix(gate.kind, gate.angle)
         )
         a = _apply_2x2_on_axis(a, mat, 1 + gate.target)
     return a.reshape(amps.shape[0], -1)
@@ -305,7 +305,7 @@ def apply_rotation_batch(
 ) -> np.ndarray:
     """Rotation on one qubit; ``angles`` may be scalar or one angle per row."""
     shape = (amps.shape[0],) + (2,) * n_qubits
-    mat = _rotation_matrix(kind, angles)
+    mat = rotation_matrix(kind, angles)
     out = _apply_2x2_on_axis(amps.reshape(shape), mat, 1 + qubit)
     return out.reshape(amps.shape[0], -1)
 
@@ -382,7 +382,7 @@ def apply_gate_dm_batch(rhos: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
     mat = (
         _FIXED_MATRICES[gate.kind]
         if gate.kind in _FIXED_MATRICES
-        else _rotation_matrix(gate.kind, gate.angle)
+        else rotation_matrix(gate.kind, gate.angle)
     )
     return _dm_conjugate_1q(rhos, mat, gate.target, n_qubits)
 
@@ -390,7 +390,7 @@ def apply_gate_dm_batch(rhos: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
 def apply_rotation_dm_batch(
     rhos: np.ndarray, kind: str, qubit: int, angles, n_qubits: int
 ) -> np.ndarray:
-    return _dm_conjugate_1q(rhos, _rotation_matrix(kind, angles), qubit, n_qubits)
+    return _dm_conjugate_1q(rhos, rotation_matrix(kind, angles), qubit, n_qubits)
 
 
 def apply_channel_batch(
@@ -519,7 +519,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         raise ConfigurationError("CNOT has no single-qubit matrix")
     if gate.kind in _FIXED_MATRICES:
         return _FIXED_MATRICES[gate.kind].copy()
-    return _rotation_matrix(gate.kind, gate.angle)
+    return rotation_matrix(gate.kind, gate.angle)
 
 
 def _kron_chain(factors) -> np.ndarray:

@@ -41,15 +41,16 @@ class TrainConfig:
     dev_early_stop: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        # chained comparisons so that NaN fails every check
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
-        if self.lam < 0 or self.gamma < 0:
-            raise ConfigurationError("regularization coefficients must be >= 0")
-        if self.stop_window < 1 or self.stop_tol < 0:
+        if not (0 <= self.lam < np.inf and 0 <= self.gamma < np.inf):
+            raise ConfigurationError("regularization coefficients must be finite and >= 0")
+        if self.stop_window < 1 or not 0 <= self.stop_tol < np.inf:
             raise ConfigurationError("invalid stopping condition")
 
 

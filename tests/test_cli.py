@@ -8,8 +8,8 @@ import pytest
 from conftest import build_random_model
 from qsann import data, model as model_mod
 from qsann.baselines import init_csann, init_naive
-from qsann.checkpoint import load_checkpoint, save_checkpoint
-from qsann.cli import RunConfig, load_preset, main
+from qsann.checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from qsann.cli import RunConfig, _write_json, load_preset, main
 from qsann.errors import ConfigurationError, ParseError
 
 
@@ -131,6 +131,40 @@ class TestCheckpointRoundTrip:
         assert main(["eval", "--checkpoint", str(path)]) == 2
 
 
+class TestAtomicWrites:
+    def test_write_failing_part_way_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text("old\n")
+
+        def write(handle):
+            handle.write("partial")
+            raise RuntimeError("serialisation failed")
+
+        with pytest.raises(RuntimeError):
+            write_atomic(path, write)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
+
+    @pytest.mark.parametrize("writer", ["json", "checkpoint"])
+    def test_unserialisable_document_keeps_previous_file(self, rng, tmp_path, writer):
+        # the late key sorts last, so a streaming writer would leave a partial file
+        path = tmp_path / "artifact.json"
+        model = build_random_model(rng, vocab_size=2)
+        vocab = data.Vocabulary([data.OOV_TOKEN, "a"])
+        if writer == "json":
+            _write_json(path, {"a": 1})
+            with pytest.raises(TypeError):
+                _write_json(path, {"a": 2, "zz": object()})
+        else:
+            save_checkpoint(path, model, vocab, {})
+            before = path.read_bytes()
+            with pytest.raises(TypeError):
+                save_checkpoint(path, model, vocab, {"zz": object()})
+            assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+        assert path.read_text().endswith("}\n")
+
+
 class TestRunConfig:
     def test_qsann_dimension_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -172,6 +206,10 @@ class TestRunConfig:
         ["train", "--set", "seeds=3"],
         ["noise-sweep", "--p-list", "abc"],
         ["train", "--set", "n_qubits=20"],
+        ["train", "--set", "learning_rate=NaN"],
+        ["train", "--set", "lam=Infinity"],
+        ["train", "--set", "stop_tol=NaN"],
+        ["train", "--set", "gamma=Infinity"],
     ],
 )
 def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):

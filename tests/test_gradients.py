@@ -1,9 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, build_random_model, finite_difference
 from qsann import model as model_mod
-from qsann.attention import ObservableSet, QsalLayerParams, layer_forward
+from qsann.ansatz import build_circuit
+from qsann.attention import (
+    Engine,
+    ObservableSet,
+    QsalLayerParams,
+    layer_forward,
+    measured_quantities,
+)
 from qsann.errors import EmptySequenceError
 from qsann.gradients import (
     backward,
@@ -11,12 +20,94 @@ from qsann.gradients import (
     layer_backward,
     model_param_dict,
 )
-from qsann.sim import NoiseChannel
+from qsann.sim import NoiseChannel, circuit_unitary
+
+
+# ---------------------------------------------------------------------------
+# Parameter-shift reference: every query/key/value and encoder angle shifted
+# by +/- pi/2, each shifted circuit built whole, the query/key/value ones by
+# the Kronecker-product oracle.
+
+
+def _shift_rows(rows):
+    """(R, c, 2, c) copies of (R, c) angle rows with entry j shifted by +/- pi/2."""
+    count, dim = rows.shape
+    stack = np.broadcast_to(rows[:, None, None, :], (count, dim, 2, dim)).copy()
+    idx = np.arange(dim)
+    stack[:, idx, 0, idx] += np.pi / 2.0
+    stack[:, idx, 1, idx] -= np.pi / 2.0
+    return stack
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_unitary(spec, angles):
+    return circuit_unitary(build_circuit(spec, np.array(angles)), spec.n_qubits)
+
+
+def shift_layer_backward(layer, obs, trace, g, noise=None):
+    """layer_backward's four gradients by the parameter-shift rule."""
+    u, zq, zk = trace.inputs, trace.zq, trace.zk
+    alpha, values = trace.attention.coefficients, trace.values
+    engine = Engine(layer.n_qubits, noise)
+    beta = g @ values.T
+    attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - (alpha * beta).sum(1)[:, None])
+    weights = np.vstack([-attn_term.sum(axis=1), attn_term.sum(axis=0), (alpha.T @ g).T])
+
+    thetas = np.stack([layer.theta_q.values, layer.theta_k.values, layer.theta_v.values])
+    shift_rows = _shift_rows(thetas).reshape(3, -1, thetas.shape[1])  # +, - per angle
+    rhos = engine.mix(engine.prepare(u, layer.enc_spec), weights)
+    circuits, observables = measured_quantities(obs.size)
+    d_theta = np.zeros_like(thetas)
+    for circuit, rows in enumerate(shift_rows):
+        shifted = np.stack([_oracle_unitary(layer.qkv_spec, tuple(row)) for row in rows])
+        for k in np.flatnonzero(np.equal(circuits, circuit)):
+            moved = shifted @ rhos[k] @ shifted.conj().swapaxes(-1, -2)
+            traces = np.einsum("ab,pba->p", trace.measured[observables[k]], moved).real
+            d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
+
+    (n_words, width), dim = u.shape, 2**layer.n_qubits
+    per_word = np.einsum("ks,kab->sab", weights, trace.effective)
+    enc_shifted = engine.prepare(_shift_rows(u).reshape(-1, width), layer.enc_spec)
+    shifted_values = engine.expect(
+        enc_shifted.reshape(n_words, 2 * width, dim), per_word[:, None]
+    ).reshape(n_words, width, 2)
+    d_u = g + (shifted_values[:, :, 0] - shifted_values[:, :, 1]) / 2.0
+    return d_theta[0], d_theta[1], d_theta[2], d_u
 
 
 def fd_bundle(model, sample, noise=None, h=1e-5):
     params = model_param_dict(model)
     return finite_difference(lambda: model_mod.loss([sample], model, noise), params, h)
+
+
+NOISES = [None] + [
+    NoiseChannel(kind, p)
+    for kind in ("depolarizing", "amplitude_damping")
+    for p in (0.01, 0.1, 1.0)
+]
+# encoder depth 4 needs more observables than one or two qubits offer
+GEOMETRIES = [
+    (n, enc_depth, qkv_depth)
+    for n in (1, 2, 4)
+    for enc_depth in ((0, 1) if n < 4 else (0, 1, 4))
+    for qkv_depth in (0, 1, 4)
+]
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda c: f"{c.kind}-{c.p}" if c else "pure")
+@pytest.mark.parametrize("n,enc_depth,qkv_depth", GEOMETRIES)
+def test_adjoint_layer_backward_matches_parameter_shift(n, enc_depth, qkv_depth, noise):
+    rng = np.random.default_rng(100 * n + 10 * enc_depth + qkv_depth)
+    layer = QsalLayerParams.create(n, enc_depth, qkv_depth, rng=rng, std=0.8)
+    obs = ObservableSet.default(n, layer.input_dim)
+    for n_words in (1, 3, 12):
+        u = rng.uniform(-2, 2, (n_words, layer.input_dim))
+        g = rng.normal(size=u.shape)
+        trace = layer_forward(u, layer, obs, noise)
+        got = layer_backward(layer, obs, trace, g, noise)
+        want = shift_layer_backward(layer, obs, trace, g, noise)
+        for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):
+            assert np.max(np.abs(a - b)) < 1e-12, (name, n_words)
 
 
 class TestErrorFactor:
