@@ -1,9 +1,10 @@
 """Classical comparison models sharing the training harness.
 
 CSANN: softmax self-attention over linearly projected embeddings (no
-residual connection, exactly one layer), then the same mean pooling, sigmoid
-head and regularized MSE loss as the quantum model.  Naive: mean of the
-embedding vectors straight into the head.  Both backpropagate analytically.
+residual connection, exactly one layer).  Naive: the embedding vectors
+straight into the head.  Both end in the quantum model's head (``model``'s
+mean pooling, sigmoid, penalties and their gradients), so this module holds
+only what comes before it, and both backpropagate analytically.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as model_mod
 from .attention import AttentionMatrix
 from .data import EmbeddingTable
-from .errors import ConfigurationError, EmptySequenceError
-from .model import Prediction, sigmoid
+from .errors import ConfigurationError
+from .model import Prediction
 
 
 @dataclass
@@ -36,14 +38,7 @@ class CsannParams:
             setattr(self, name, mat)
             if mat.shape != (d, d):
                 raise ConfigurationError(f"{name} must be {d}x{d}, got {mat.shape}")
-        self.head_w = np.asarray(self.head_w, dtype=np.float64)
-        self.head_b = np.asarray(self.head_b, dtype=np.float64)
-        if self.head_w.shape != (d,) or self.head_b.shape != (1,):
-            raise ConfigurationError("head shapes disagree with embedding dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.dim
+        model_mod.check_head(self)
 
 
 @dataclass
@@ -55,14 +50,7 @@ class NaiveParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        self.head_w = np.asarray(self.head_w, dtype=np.float64)
-        self.head_b = np.asarray(self.head_b, dtype=np.float64)
-        if self.head_w.shape != (self.embeddings.dim,) or self.head_b.shape != (1,):
-            raise ConfigurationError("head shapes disagree with embedding dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.dim
+        model_mod.check_head(self)
 
 
 def init_csann(
@@ -114,85 +102,40 @@ def _csann_intermediates(ids, params: CsannParams):
     keys = xs @ params.w_key.T
     values = xs @ params.w_value.T
     attn = _softmax_rows(queries @ keys.T)
-    ys = attn @ values
-    pooled = ys.mean(axis=0)
-    y_hat = sigmoid(float(params.head_w @ pooled + params.head_b[0]))
-    return xs, queries, keys, values, attn, ys, pooled, y_hat
+    return xs, queries, keys, values, attn, attn @ values
 
 
 def csann_forward(sequence, params: CsannParams) -> Prediction:
     ids = params.embeddings.check_ids(sequence)
-    *_, attn, _, _, y_hat = _csann_intermediates(ids, params)
-    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=[AttentionMatrix(attn)])
+    *_, attn, ys = _csann_intermediates(ids, params)
+    return model_mod.predict(params, ys, [AttentionMatrix(attn)])
 
 
 def naive_forward(sequence, params: NaiveParams) -> Prediction:
     ids = params.embeddings.check_ids(sequence)
-    pooled = params.embeddings.rows[ids].mean(axis=0)
-    y_hat = sigmoid(float(params.head_w @ pooled + params.head_b[0]))
-    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=[])
-
-
-def regularization(params, batch) -> float:
-    d = params.dim
-    reg = params.lam / (2.0 * d) * float(params.head_w @ params.head_w)
-    if params.gamma > 0.0:
-        norms = [
-            float(np.sum(params.embeddings.rows[list(ids)] ** 2)) for ids, _ in batch
-        ]
-        reg += params.gamma / (2.0 * d) * float(np.mean(norms))
-    return reg
-
-
-def baseline_loss(batch, params, forward_fn) -> float:
-    batch = list(batch)
-    if not batch:
-        raise EmptySequenceError("loss needs at least one sample")
-    errors = [
-        (forward_fn(ids, params).y_hat - float(label)) ** 2 for ids, label in batch
-    ]
-    return float(np.mean(errors)) / 2.0 + regularization(params, batch)
-
-
-def csann_loss(batch, params: CsannParams) -> float:
-    return baseline_loss(batch, params, csann_forward)
-
-
-def naive_loss(batch, params: NaiveParams) -> float:
-    return baseline_loss(batch, params, naive_forward)
+    return model_mod.predict(params, params.embeddings.rows[ids], [])
 
 
 def csann_backward(sample, params: CsannParams) -> dict[str, np.ndarray]:
     ids, label = sample
     ids = params.embeddings.check_ids(ids)
-    xs, queries, keys, values, attn, _, pooled, y_hat = _csann_intermediates(ids, params)
-    n_words, d = xs.shape
-    sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
+    xs, queries, keys, values, attn, ys = _csann_intermediates(ids, params)
+    d_w, d_b, g = model_mod.head_backward(params, ys, label)
 
-    g = np.tile(sigma_t * params.head_w / n_words, (n_words, 1))
     d_values = attn.T @ g
     beta = g @ values.T
     d_scores = attn * (beta - np.sum(attn * beta, axis=1, keepdims=True))
     d_queries = d_scores @ keys
     d_keys = d_scores.T @ queries
-
-    d_emb = np.zeros_like(params.embeddings.rows)
-    d_x = (
-        d_queries @ params.w_query
-        + d_keys @ params.w_key
-        + d_values @ params.w_value
-        + (params.gamma / d) * xs
-    )
-    for pos, token in enumerate(ids):
-        d_emb[token] += d_x[pos]
+    d_x = d_queries @ params.w_query + d_keys @ params.w_key + d_values @ params.w_value
 
     return {
         "w_query": d_queries.T @ xs,
         "w_key": d_keys.T @ xs,
         "w_value": d_values.T @ xs,
-        "head_w": sigma_t * pooled + (params.lam / d) * params.head_w,
-        "head_b": np.array([sigma_t]),
-        "embeddings": d_emb,
+        "head_w": d_w,
+        "head_b": d_b,
+        "embeddings": model_mod.embedding_gradient(params, ids, xs, d_x),
     }
 
 
@@ -200,20 +143,11 @@ def naive_backward(sample, params: NaiveParams) -> dict[str, np.ndarray]:
     ids, label = sample
     ids = params.embeddings.check_ids(ids)
     xs = params.embeddings.rows[ids]
-    n_words, d = xs.shape
-    pooled = xs.mean(axis=0)
-    y_hat = sigmoid(float(params.head_w @ pooled + params.head_b[0]))
-    sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
-
-    d_emb = np.zeros_like(params.embeddings.rows)
-    per_word = sigma_t * params.head_w / n_words
-    for pos, token in enumerate(ids):
-        d_emb[token] += per_word + (params.gamma / d) * xs[pos]
-
+    d_w, d_b, g = model_mod.head_backward(params, xs, label)
     return {
-        "head_w": sigma_t * pooled + (params.lam / d) * params.head_w,
-        "head_b": np.array([sigma_t]),
-        "embeddings": d_emb,
+        "head_w": d_w,
+        "head_b": d_b,
+        "embeddings": model_mod.embedding_gradient(params, ids, xs, g),
     }
 
 
@@ -222,18 +156,12 @@ def csann_param_dict(params: CsannParams) -> dict[str, np.ndarray]:
         "w_query": params.w_query,
         "w_key": params.w_key,
         "w_value": params.w_value,
-        "head_w": params.head_w,
-        "head_b": params.head_b,
-        "embeddings": params.embeddings.rows,
+        **model_mod.head_params(params),
     }
 
 
 def naive_param_dict(params: NaiveParams) -> dict[str, np.ndarray]:
-    return {
-        "head_w": params.head_w,
-        "head_b": params.head_b,
-        "embeddings": params.embeddings.rows,
-    }
+    return model_mod.head_params(params)
 
 
 def csann_parameter_count(dim: int) -> tuple[int, int, int]:

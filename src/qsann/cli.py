@@ -73,6 +73,8 @@ class RunConfig:
             raise ConfigurationError("dataset_path is required")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
+        if min(self.seeds) < 0 or self.split_seed < 0:
+            raise ConfigurationError("seeds and split_seed must be non-negative")
         derived = self.n_qubits * (self.enc_depth + 2)
         if self.model == "qsann":
             if self.embed_dim is None:
@@ -84,6 +86,8 @@ class RunConfig:
                 )
         elif self.embed_dim is None:
             self.embed_dim = 16
+        elif self.embed_dim < 1:
+            raise ConfigurationError(f"embed_dim must be at least 1, got {self.embed_dim}")
         if self.model == "qsann":  # geometry and memory-budget checks
             model_mod.ModelConfig(self.n_qubits, self.enc_depth, self.qkv_depth, self.n_layers)
         if self.noise_kind is not None and self.model != "qsann":
@@ -93,6 +97,8 @@ class RunConfig:
                 raise ConfigurationError(f"noise_kind must be one of {NOISE_KINDS}")
             if self.noise_p is None:
                 raise ConfigurationError("noise_kind requires noise_p")
+        elif self.noise_p is not None:
+            raise ConfigurationError("noise_p requires noise_kind")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
             raise ConfigurationError("noise_p must be in [0, 1]")
         # delegate the numeric training-field checks

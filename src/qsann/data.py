@@ -174,6 +174,8 @@ def build_splits(
     ratios = [float(r) for r in ratios]
     if len(ratios) not in (2, 3):
         raise ConfigurationError("ratios must have 2 (train/test) or 3 entries")
+    if not all(np.isfinite(ratios)):
+        raise ConfigurationError(f"ratios must be finite, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigurationError(f"ratios must sum to 1, got {sum(ratios)}")
     if any(r < 0 for r in ratios):

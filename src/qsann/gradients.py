@@ -1,11 +1,13 @@
-"""Analytic gradients of the per-sample loss.
+"""Analytic gradients of the quantum model's per-sample loss.
 
-Head gradients are closed-form; everything that flows through a quantum
-expectation comes from adjoint sweeps over the circuits' columns
-(``ansatz.adjoint_operator_gradients`` and ``adjoint_row_gradients``), which
-are exact, not finite differences.  The sweeps also cover encoder angles,
-which is how gradients reach the embedding vectors: a word's embedding
-entries ARE the rotation angles of its encoder circuit.
+Head and embedding-penalty gradients come from the head that ``model``
+shares with the baselines (``head_backward``, ``embedding_gradient``);
+everything that flows through a quantum expectation comes from adjoint
+sweeps over the circuits' columns (``ansatz.adjoint_operator_gradients``
+and ``adjoint_row_gradients``), which are exact, not finite differences.
+The sweeps also cover encoder angles, which is how gradients reach the
+embedding vectors: a word's embedding entries ARE the rotation angles of its
+encoder circuit.
 
 For each attention layer with inputs u, normalized coefficients a[s, j],
 value vectors o[j] and upstream gradient g[s] = dL/dy[s]:
@@ -60,10 +62,7 @@ def model_param_dict(model: QsannModel) -> dict[str, np.ndarray]:
         params[f"layer{i}.theta_q"] = layer.theta_q.values
         params[f"layer{i}.theta_k"] = layer.theta_k.values
         params[f"layer{i}.theta_v"] = layer.theta_v.values
-    params["head_w"] = model.head_w
-    params["head_b"] = model.head_b
-    params["embeddings"] = model.embeddings.rows
-    return params
+    return {**params, **model_mod.head_params(model)}
 
 
 def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:
@@ -134,17 +133,8 @@ def backward(
     """
     token_ids, label = sample
     ids = model.embeddings.check_ids(token_ids)
-    cfg = model.config
     traces = model_mod.layer_traces(ids, model, noise)
-
-    n_words = len(ids)
-    dim = cfg.embed_dim
-    pooled, y_hat = model_mod.head_output(model, traces[-1].outputs)
-    sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
-
-    d_w = sigma_t * pooled + (cfg.lam / dim) * model.head_w
-    d_b = np.array([sigma_t])
-    g = np.tile(sigma_t * model.head_w / n_words, (n_words, 1))
+    d_w, d_b, g = model_mod.head_backward(model, traces[-1].outputs, label)
 
     d_theta: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(model.layers)
     for layer_idx in range(len(model.layers) - 1, -1, -1):
@@ -153,9 +143,5 @@ def backward(
         )
         d_theta[layer_idx] = (dq, dk, dv)
 
-    xs = traces[0].inputs
-    d_emb = np.zeros_like(model.embeddings.rows)
-    gamma_scale = cfg.gamma / dim
-    for pos, token in enumerate(ids):
-        d_emb[token] += g[pos] + gamma_scale * xs[pos]
+    d_emb = model_mod.embedding_gradient(model, ids, traces[0].inputs, g)
     return GradientBundle(d_theta=d_theta, d_w=d_w, d_b=d_b, d_embeddings=d_emb)

@@ -5,6 +5,10 @@ y_s are the outputs of the last attention layer.  The loss is half the mean
 squared error against the 0/1 label plus two scaled L2 regularizers, one on
 the head weights and one on the sequence's embedding vectors (batch-averaged
 so the total is invariant to batch size).
+
+This head, its penalties and their gradients are defined here once for every
+model kind: the functions below take any model with ``head_w``, ``head_b``,
+``embeddings``, ``lam`` and ``gamma``, so the classical baselines reuse them.
 """
 
 from __future__ import annotations
@@ -65,6 +69,17 @@ class ModelConfig:
         return self.n_qubits * (self.enc_depth + 2)
 
 
+def check_head(model) -> None:
+    """Store head_w and head_b as float arrays; check them against the embedding size."""
+    model.head_w = np.asarray(model.head_w, dtype=np.float64)
+    model.head_b = np.asarray(model.head_b, dtype=np.float64)
+    if model.head_w.shape != (model.embeddings.dim,) or model.head_b.shape != (1,):
+        raise ConfigurationError(
+            f"head needs {model.embeddings.dim} weights and one bias, "
+            f"got {model.head_w.shape} and {model.head_b.shape}"
+        )
+
+
 @dataclass
 class QsannModel:
     config: ModelConfig
@@ -85,18 +100,19 @@ class QsannModel:
                 cfg.qkv_depth,
             ):
                 raise ConfigurationError("layer geometry disagrees with config")
-        self.head_w = np.asarray(self.head_w, dtype=np.float64)
-        self.head_b = np.asarray(self.head_b, dtype=np.float64)
-        if self.head_w.shape != (cfg.embed_dim,):
-            raise ConfigurationError(
-                f"head weights must have dimension {cfg.embed_dim}"
-            )
-        if self.head_b.shape != (1,):
-            raise ConfigurationError("head bias must be a single value")
         if self.embeddings.dim != cfg.embed_dim:
             raise ConfigurationError("embedding dimension disagrees with config")
+        check_head(self)
         if self.observables.size != cfg.embed_dim:
             raise ConfigurationError("need one observable per embedding dimension")
+
+    @property
+    def lam(self) -> float:
+        return self.config.lam
+
+    @property
+    def gamma(self) -> float:
+        return self.config.gamma
 
 
 @dataclass
@@ -142,10 +158,44 @@ def layer_traces(
     return traces
 
 
-def head_output(model: QsannModel, outputs: np.ndarray) -> tuple[np.ndarray, float]:
+def head_output(model, outputs: np.ndarray) -> tuple[np.ndarray, float]:
     """(pooled last-layer output, sigmoid head output)."""
     pooled = outputs.mean(axis=0)
     return pooled, sigmoid(float(model.head_w @ pooled + model.head_b[0]))
+
+
+def predict(model, outputs: np.ndarray, attention: list[AttentionMatrix]) -> Prediction:
+    """The head's prediction from the last layer's per-word outputs."""
+    _, y_hat = head_output(model, outputs)
+    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=attention)
+
+
+def head_backward(model, outputs: np.ndarray, label) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dL/dw, dL/db, dL/d outputs) of the single-sample loss, lam penalty included."""
+    n_words = outputs.shape[0]
+    pooled, y_hat = head_output(model, outputs)
+    sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
+    d_w = sigma_t * pooled + (model.lam / model.embeddings.dim) * model.head_w
+    g = np.tile(sigma_t * model.head_w / n_words, (n_words, 1))
+    return d_w, np.array([sigma_t]), g
+
+
+def embedding_gradient(model, ids: list[int], xs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dL/d(embedding table): each word's upstream gradient g plus its gamma penalty."""
+    d_emb = np.zeros_like(model.embeddings.rows)
+    gamma_scale = model.gamma / model.embeddings.dim
+    for pos, token in enumerate(ids):
+        d_emb[token] += g[pos] + gamma_scale * xs[pos]
+    return d_emb
+
+
+def head_params(model) -> dict[str, np.ndarray]:
+    """Live views of the head and embedding arrays, keyed for the optimizer."""
+    return {
+        "head_w": model.head_w,
+        "head_b": model.head_b,
+        "embeddings": model.embeddings.rows,
+    }
 
 
 def forward(
@@ -158,23 +208,16 @@ def forward(
     """Predict the positive-class probability for a token-id sequence."""
     ids = model.embeddings.check_ids(sequence)
     traces = layer_traces(ids, model, noise, shots, rng)
-    _, y_hat = head_output(model, traces[-1].outputs)
-    return Prediction(
-        y_hat=y_hat, label=int(y_hat >= 0.5), attention=[t.attention for t in traces]
-    )
+    return predict(model, traces[-1].outputs, [t.attention for t in traces])
 
 
-def regularization(model: QsannModel, batch) -> float:
+def regularization(model, batch) -> float:
     """Head-weight penalty plus batch-averaged embedding-norm penalty."""
-    cfg = model.config
-    d = cfg.embed_dim
-    reg = cfg.lam / (2.0 * d) * float(model.head_w @ model.head_w)
-    if cfg.gamma > 0.0:
-        emb_norms = []
-        for ids, _ in batch:
-            xs = model.embeddings.rows[list(ids)]
-            emb_norms.append(float(np.sum(xs * xs)))
-        reg += cfg.gamma / (2.0 * d) * float(np.mean(emb_norms))
+    d = model.embeddings.dim
+    reg = model.lam / (2.0 * d) * float(model.head_w @ model.head_w)
+    if model.gamma > 0.0:
+        norms = [float(np.sum(model.embeddings.rows[list(ids)] ** 2)) for ids, _ in batch]
+        reg += model.gamma / (2.0 * d) * float(np.mean(norms))
     return reg
 
 

@@ -98,6 +98,8 @@ def adam_step(
 class ModelKind:
     """Everything that differs between the qsann, csann and naive models.
 
+    The classifier head and its penalties are the same for every kind and
+    live in ``model`` (``model_mod.regularization`` and friends), not here.
     Entries call through module attributes (``model_mod.forward``), never a
     stored function object, so wrappers installed on a module see every call.
     """
@@ -110,7 +112,6 @@ class ModelKind:
     forward: Callable  # (ids, model, noise, shots, rng) -> Prediction
     backward: Callable  # (sample, model, noise) -> gradient dict
     params: Callable  # model -> live arrays, keyed as in checkpoints
-    regularization: Callable  # (model, batch) -> float
     parameter_count: Callable  # model -> (qkv, head, total)
 
 
@@ -129,7 +130,7 @@ def _baseline_set_penalties(model, lam: float, gamma: float) -> None:
 
 
 def _baseline_settings(model) -> dict:
-    return {"dim": model.dim, "lam": model.lam, "gamma": model.gamma}
+    return {"dim": model.embeddings.dim, "lam": model.lam, "gamma": model.gamma}
 
 
 MODEL_KINDS = {
@@ -148,7 +149,6 @@ MODEL_KINDS = {
                 gradients.backward(sample, m, noise)
             ),
             params=lambda m: gradients.model_param_dict(m),
-            regularization=lambda m, batch: model_mod.regularization(m, batch),
             parameter_count=lambda m: model_mod.parameter_count(m),
         ),
         ModelKind(
@@ -162,8 +162,7 @@ MODEL_KINDS = {
             forward=lambda ids, m, noise, shots, rng: baselines.csann_forward(ids, m),
             backward=lambda sample, m, noise: baselines.csann_backward(sample, m),
             params=lambda m: baselines.csann_param_dict(m),
-            regularization=lambda m, batch: baselines.regularization(m, batch),
-            parameter_count=lambda m: baselines.csann_parameter_count(m.dim),
+            parameter_count=lambda m: baselines.csann_parameter_count(m.embeddings.dim),
         ),
         ModelKind(
             "naive",
@@ -176,8 +175,7 @@ MODEL_KINDS = {
             forward=lambda ids, m, noise, shots, rng: baselines.naive_forward(ids, m),
             backward=lambda sample, m, noise: baselines.naive_backward(sample, m),
             params=lambda m: baselines.naive_param_dict(m),
-            regularization=lambda m, batch: baselines.regularization(m, batch),
-            parameter_count=lambda m: baselines.naive_parameter_count(m.dim),
+            parameter_count=lambda m: baselines.naive_parameter_count(m.embeddings.dim),
         ),
     )
 }
@@ -231,7 +229,7 @@ def evaluate(
         pred = kind.forward(ids, model, noise, shots, rng)
         hits += int(pred.label == label)
         errors.append((pred.y_hat - float(label)) ** 2)
-    mean_loss = float(np.mean(errors)) / 2.0 + kind.regularization(model, samples)
+    mean_loss = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)
     return hits / len(samples), mean_loss
 
 

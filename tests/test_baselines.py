@@ -6,14 +6,12 @@ from qsann import data, training
 from qsann.baselines import (
     csann_backward,
     csann_forward,
-    csann_loss,
     csann_param_dict,
     csann_parameter_count,
     init_csann,
     init_naive,
     naive_backward,
     naive_forward,
-    naive_loss,
     naive_param_dict,
     naive_parameter_count,
 )
@@ -85,7 +83,7 @@ class TestGradients:
         sample = ([1, 2, 2, 4], 1)
         analytic = csann_backward(sample, params)
         numeric = finite_difference(
-            lambda: csann_loss([sample], params), csann_param_dict(params)
+            lambda: training.evaluate([sample], params)[1], csann_param_dict(params)
         )
         assert_grad_close(analytic, numeric, atol=1e-6, rtol=1e-6)
 
@@ -94,7 +92,7 @@ class TestGradients:
         sample = ([1, 3, 3], 0)
         analytic = naive_backward(sample, params)
         numeric = finite_difference(
-            lambda: naive_loss([sample], params), naive_param_dict(params)
+            lambda: training.evaluate([sample], params)[1], naive_param_dict(params)
         )
         assert_grad_close(analytic, numeric, atol=1e-6, rtol=1e-6)
 

@@ -23,7 +23,10 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize(
     "workload,trace",
-    [("yelp-train", 0), ("yelp-eval", 0), ("yelp-noisy", 0), ("yelp-noisy", 1)],
+    [
+        ("yelp-train", 0), ("yelp-eval", 0), ("yelp-noisy", 0),
+        ("yelp-train", 1), ("yelp-eval", 1), ("yelp-noisy", 1),
+    ],
 )
 def test_result_line(workload, trace):
     proc = subprocess.run(

@@ -210,6 +210,13 @@ class TestRunConfig:
         ["train", "--set", "lam=Infinity"],
         ["train", "--set", "stop_tol=NaN"],
         ["train", "--set", "gamma=Infinity"],
+        ["train", "--seeds=-1"],
+        ["train", "--set", "split_seed=-1"],
+        ["train", "--set", "model=csann", "--set", "embed_dim=0"],
+        ["train", "--set", "model=naive", "--set", "embed_dim=0"],
+        ["train", "--set", "model=csann", "--set", "embed_dim=-2"],
+        ["train", "--set", "noise_p=0.1"],
+        ["train", "--set", "ratios=[NaN,0.2]"],
     ],
 )
 def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):

@@ -141,6 +141,8 @@ class TestBuildSplits:
             build_splits(self.make_samples(10), (0.5, 0.6), seed=0)
         with pytest.raises(ConfigurationError):
             build_splits(self.make_samples(10), (1.0,), seed=0)
+        with pytest.raises(ConfigurationError):
+            build_splits(self.make_samples(10), (float("nan"), 0.2), seed=0)
 
     def test_empty_split_on_tiny_data(self):
         with pytest.raises(ConfigurationError):
