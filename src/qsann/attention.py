@@ -13,6 +13,14 @@ noisy layers in the Heisenberg picture: the circuits and channels act on
 observables, and the only state simulated per word is its encoder state,
 which stays pure.  The density-matrix kernels in ``sim`` are the reference
 the tests hold it to.
+
+A layer forward has two parts.  ``layer_operators`` builds what depends only
+on the angles and the noise: the unitaries, E^dag(O) and the effective
+observables, whose ``measure`` encodes input rows and measures each row on
+its own.  ``attend`` is one sentence's step from those expectations: shot
+sampling, attention coefficients and the residual.  ``layer_forward``
+composes the two per sentence; ``model.forward_many`` shares one set of
+operators across a whole pass.
 """
 
 from __future__ import annotations
@@ -281,6 +289,58 @@ class LayerTrace:
     outputs: np.ndarray  # (S, d) residual outputs
 
 
+@dataclass(frozen=True)
+class LayerOperators:
+    """What a layer measures, built once per parameter setting: it does not
+    depend on the words, so one set serves every sentence of a pass."""
+
+    engine: Engine
+    enc_spec: AnsatzSpec
+    measured: np.ndarray  # (d, 2**n, 2**n) E^dag(O) for each observable O
+    effective: np.ndarray  # (2 + d, 2**n, 2**n) M of each measured quantity
+
+    def measure(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d).
+
+        Each row's expectations depend on that row alone.
+        """
+        encoded = self.engine.prepare(inputs, self.enc_spec)
+        return encoded, np.clip(self.engine.expect(encoded, self.effective), -1.0, 1.0)
+
+
+def layer_operators(
+    params: QsalLayerParams, obs: ObservableSet, noise: NoiseChannel | None = None
+) -> LayerOperators:
+    """The query, key and value unitaries, E^dag(O) and the 2 + d effective observables."""
+    if obs.size != params.input_dim:
+        raise ConfigurationError(
+            f"need {params.input_dim} observables to match the input dimension, got {obs.size}"
+        )
+    engine = Engine(params.n_qubits, noise)
+    thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
+    unitaries = ansatz_unitaries(params.qkv_spec, thetas)
+    measured = engine.apply(obs.matrices)
+    circuits, observables = measured_quantities(obs.size)
+    effective = engine.apply(measured[observables], unitaries[circuits])
+    return LayerOperators(engine, params.enc_spec, measured, effective)
+
+
+def attend(
+    xs: np.ndarray,
+    expectations: np.ndarray,
+    shots: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, AttentionMatrix, np.ndarray]:
+    """(zq, zk, values, attention, outputs) of one sentence from its (S, 2 + d)
+    expectations: shots sampled for zq, then zk, then the values, and the
+    residual y_s = x_s + sum_j coeff[s, j] * o_j."""
+    zq = _maybe_sample(expectations[:, 0], shots, rng)
+    zk = _maybe_sample(expectations[:, 1], shots, rng)
+    values = _maybe_sample(expectations[:, 2:], shots, rng)
+    attention = gpqsa_coefficients(zq, zk)
+    return zq, zk, values, attention, xs + attention.coefficients @ values
+
+
 def layer_forward(
     inputs,
     params: QsalLayerParams,
@@ -289,28 +349,11 @@ def layer_forward(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> LayerTrace:
-    """One attention layer: y_s = x_s + sum_j coeff[s, j] * o_j, with its trace.
-
-    The query, key and value unitaries are products of column operators,
-    and one contraction measures all 2 + d effective observables on the words'
-    encoder states.
-    """
+    """One attention layer with its trace: the layer's operators, the words'
+    encoder states measured against them, then the attention step."""
     xs = _check_inputs(inputs, params)
-    if obs.size != xs.shape[1]:
-        raise ConfigurationError(
-            f"need {xs.shape[1]} observables to match the input dimension, got {obs.size}"
-        )
-    engine = Engine(params.n_qubits, noise)
-    encoded = engine.prepare(xs, params.enc_spec)
-    thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
-    unitaries = ansatz_unitaries(params.qkv_spec, thetas)
-    measured = engine.apply(obs.matrices)
-    circuits, observables = measured_quantities(obs.size)
-    effective = engine.apply(measured[observables], unitaries[circuits])
-    expectations = np.clip(engine.expect(encoded, effective), -1.0, 1.0)
-    zq = _maybe_sample(expectations[:, 0], shots, rng)
-    zk = _maybe_sample(expectations[:, 1], shots, rng)
-    values = _maybe_sample(expectations[:, 2:], shots, rng)
-    attention = gpqsa_coefficients(zq, zk)
-    outputs = xs + attention.coefficients @ values
-    return LayerTrace(xs, encoded, measured, effective, zq, zk, values, attention, outputs)
+    ops = layer_operators(params, obs, noise)
+    encoded, expectations = ops.measure(xs)
+    return LayerTrace(
+        xs, encoded, ops.measured, ops.effective, *attend(xs, expectations, shots, rng)
+    )

@@ -177,7 +177,7 @@ def _load_config_sources(args) -> dict:
     if getattr(args, "dataset", None):
         values["dataset_path"] = args.dataset
     if getattr(args, "seeds", None):
-        values["seeds"] = _parse_int_list(args.seeds)
+        values["seeds"] = _parse_list(args.seeds, int, "integers")
     if getattr(args, "epochs", None) is not None:
         values["epochs"] = args.epochs
     for item in getattr(args, "set", None) or []:
@@ -191,11 +191,15 @@ def _load_config_sources(args) -> dict:
     return values
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, convert, what: str) -> list:
+    """At least one comma-separated item, each passed through ``convert``."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        items = [convert(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ConfigurationError(f"expected comma-separated integers, got {text!r}")
+        raise ConfigurationError(f"expected comma-separated {what}, got {text!r}")
+    if not items:
+        raise ConfigurationError(f"expected at least one of the {what}, got {text!r}")
+    return items
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -350,6 +354,8 @@ def _load_checkpoint_split(args) -> tuple:
 
 
 def cmd_eval(args) -> int:
+    if args.shot_seed < 0:
+        raise ConfigurationError(f"--shot-seed must be non-negative, got {args.shot_seed}")
     model, _, split, noise = _load_checkpoint_split(args)
     if not split:
         raise ConfigurationError(f"{args.split} split is empty")
@@ -376,7 +382,7 @@ def cmd_attention(args) -> int:
     model, vocab, split, noise = _load_checkpoint_split(args)
     if not isinstance(model, model_mod.QsannModel):
         raise ConfigurationError("attention export applies only to the quantum model")
-    indices = _parse_int_list(args.indices)
+    indices = _parse_list(args.indices, int, "integers")
     for idx in indices:
         if not 0 <= idx < len(split):
             raise ConfigurationError(
@@ -404,14 +410,11 @@ def cmd_noise_sweep(args) -> int:
     cfg = RunConfig.from_dict(values)
     if cfg.model != "qsann":
         raise ConfigurationError("noise sweeps apply only to the quantum model")
-    try:
-        p_values = [float(part) for part in args.p_list.split(",") if part != ""]
-    except ValueError:
-        raise ConfigurationError(f"expected comma-separated numbers, got {args.p_list!r}")
+    p_values = _parse_list(args.p_list, float, "numbers")
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"noise level {p} outside [0, 1]")
-    channels = [part for part in args.channels.split(",") if part != ""]
+    channels = _parse_list(args.channels, str, "channel kinds")
     for kind in channels:
         if kind not in NOISE_KINDS:
             raise ConfigurationError(f"noise channel must be one of {NOISE_KINDS}")

@@ -6,6 +6,10 @@ squared error against the 0/1 label plus two scaled L2 regularizers, one on
 the head weights and one on the sequence's embedding vectors (batch-averaged
 so the total is invariant to batch size).
 
+Predictions come from ``forward_many``, which evaluates a pass of sentences
+in vocabulary space (``forward`` is its one-sentence case); ``layer_traces``
+keeps each layer's trace for the backward pass.
+
 This head, its penalties and their gradients are defined here once for every
 model kind: the functions below take any model with ``head_w``, ``head_b``,
 ``embeddings``, ``lam`` and ``gamma``, so the classical baselines reuse them.
@@ -14,6 +18,7 @@ model kind: the functions below take any model with ``head_w``, ``head_b``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +27,9 @@ from .attention import (
     LayerTrace,
     ObservableSet,
     QsalLayerParams,
+    attend,
     layer_forward,
+    layer_operators,
 )
 from .data import EmbeddingTable
 from .errors import ConfigurationError, EmptySequenceError
@@ -30,6 +37,8 @@ from .sim import NoiseChannel
 
 # Memory the attention engine's operator stacks may take (see ModelConfig).
 ENGINE_MEMORY_BUDGET = 1 << 30
+# Distinct words encoded and measured at a time in forward_many.
+ENCODE_BLOCK = 64
 
 
 def sigmoid(z: float) -> float:
@@ -198,6 +207,44 @@ def head_params(model) -> dict[str, np.ndarray]:
     }
 
 
+def forward_many(
+    sequences,
+    model: QsannModel,
+    noise: NoiseChannel | None = None,
+    shots: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> Iterator[Prediction]:
+    """One prediction per token-id sequence, in order, as they are computed.
+
+    Each layer's operators are built once for the whole pass.  A first-layer
+    word's expectations depend only on its embedding row, so every distinct
+    word of the pass is encoded and measured once, ENCODE_BLOCK rows at a
+    time; each sentence then gathers its rows, samples shots and attends,
+    and deeper layers measure its outputs against their shared operators.
+    The numbers and the rng stream are those of ``layer_traces`` run
+    sentence by sentence.
+    """
+    checked = [model.embeddings.check_ids(sequence) for sequence in sequences]
+    if not checked:
+        return
+    operators = [layer_operators(layer, model.observables, noise) for layer in model.layers]
+    rows = model.embeddings.rows
+    words, inverse = np.unique(np.concatenate(checked), return_inverse=True)
+    first = np.concatenate([
+        operators[0].measure(rows[words[start : start + ENCODE_BLOCK]])[1]
+        for start in range(0, words.size, ENCODE_BLOCK)
+    ])
+    stop = 0
+    for ids in checked:
+        start, stop = stop, stop + len(ids)
+        *_, matrix, xs = attend(rows[ids], first[inverse[start:stop]], shots, rng)
+        attention = [matrix]
+        for ops in operators[1:]:
+            *_, matrix, xs = attend(xs, ops.measure(xs)[1], shots, rng)
+            attention.append(matrix)
+        yield predict(model, xs, attention)
+
+
 def forward(
     sequence,
     model: QsannModel,
@@ -206,9 +253,7 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> Prediction:
     """Predict the positive-class probability for a token-id sequence."""
-    ids = model.embeddings.check_ids(sequence)
-    traces = layer_traces(ids, model, noise, shots, rng)
-    return predict(model, traces[-1].outputs, [t.attention for t in traces])
+    return next(forward_many([sequence], model, noise, shots, rng))
 
 
 def regularization(model, batch) -> float:
@@ -226,9 +271,8 @@ def loss(batch, model: QsannModel, noise: NoiseChannel | None = None) -> float:
     batch = list(batch)
     if not batch:
         raise EmptySequenceError("loss needs at least one sample")
-    errors = [
-        (forward(ids, model, noise).y_hat - float(label)) ** 2 for ids, label in batch
-    ]
+    predictions = forward_many([ids for ids, _ in batch], model, noise)
+    errors = [(pred.y_hat - float(label)) ** 2 for pred, (_, label) in zip(predictions, batch)]
     return float(np.mean(errors)) / 2.0 + regularization(model, batch)
 
 

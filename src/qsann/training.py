@@ -100,8 +100,8 @@ class ModelKind:
 
     The classifier head and its penalties are the same for every kind and
     live in ``model`` (``model_mod.regularization`` and friends), not here.
-    Entries call through module attributes (``model_mod.forward``), never a
-    stored function object, so wrappers installed on a module see every call.
+    Entries call through module attributes (``model_mod.forward_many``), never
+    a stored function object, so wrappers installed on a module see every call.
     """
 
     name: str
@@ -109,7 +109,7 @@ class ModelKind:
     init: Callable  # (settings, vocab_size, rng) -> fresh model
     settings: Callable  # model -> dict of its model_config
     set_penalties: Callable  # (model, lam, gamma) -> None
-    forward: Callable  # (ids, model, noise, shots, rng) -> Prediction
+    forward: Callable  # (sequences, model, noise, shots, rng) -> Predictions, in order
     backward: Callable  # (sample, model, noise) -> gradient dict
     params: Callable  # model -> live arrays, keyed as in checkpoints
     parameter_count: Callable  # model -> (qkv, head, total)
@@ -142,8 +142,8 @@ MODEL_KINDS = {
             init=_qsann_init,
             settings=lambda m: dataclasses.asdict(m.config),
             set_penalties=_qsann_set_penalties,
-            forward=lambda ids, m, noise, shots, rng: model_mod.forward(
-                ids, m, noise, shots, rng
+            forward=lambda seqs, m, noise, shots, rng: model_mod.forward_many(
+                seqs, m, noise, shots, rng
             ),
             backward=lambda sample, m, noise: gradients.bundle_as_dict(
                 gradients.backward(sample, m, noise)
@@ -159,7 +159,9 @@ MODEL_KINDS = {
             ),
             settings=_baseline_settings,
             set_penalties=_baseline_set_penalties,
-            forward=lambda ids, m, noise, shots, rng: baselines.csann_forward(ids, m),
+            forward=lambda seqs, m, noise, shots, rng: (
+                baselines.csann_forward(ids, m) for ids in seqs
+            ),
             backward=lambda sample, m, noise: baselines.csann_backward(sample, m),
             params=lambda m: baselines.csann_param_dict(m),
             parameter_count=lambda m: baselines.csann_parameter_count(m.embeddings.dim),
@@ -172,7 +174,9 @@ MODEL_KINDS = {
             ),
             settings=_baseline_settings,
             set_penalties=_baseline_set_penalties,
-            forward=lambda ids, m, noise, shots, rng: baselines.naive_forward(ids, m),
+            forward=lambda seqs, m, noise, shots, rng: (
+                baselines.naive_forward(ids, m) for ids in seqs
+            ),
             backward=lambda sample, m, noise: baselines.naive_backward(sample, m),
             params=lambda m: baselines.naive_param_dict(m),
             parameter_count=lambda m: baselines.naive_parameter_count(m.embeddings.dim),
@@ -217,16 +221,16 @@ def evaluate(
 ) -> tuple[float, float]:
     """(accuracy, mean loss) of a model over labeled sequences.
 
-    ``shots`` and ``rng`` sample the quantum model's expectations.
+    ``shots`` and ``rng`` sample the quantum model's expectations.  The
+    predictions are read as they are made, never held all at once.
     """
     samples = _as_samples(split)
     if not samples:
         raise EmptySequenceError("cannot evaluate an empty dataset")
-    kind = kind_of(model)
+    predictions = kind_of(model).forward([ids for ids, _ in samples], model, noise, shots, rng)
     hits = 0
     errors = []
-    for ids, label in samples:
-        pred = kind.forward(ids, model, noise, shots, rng)
+    for (_, label), pred in zip(samples, predictions):
         hits += int(pred.label == label)
         errors.append((pred.y_hat - float(label)) ** 2)
     mean_loss = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)

@@ -9,6 +9,7 @@ from qsann.attention import (
     Engine,
     ObservableSet,
     QsalLayerParams,
+    attend,
     gpqsa_coefficients,
     layer_forward,
 )
@@ -309,6 +310,22 @@ class TestShotSampling:
         same = traced(xs, layer, shots=100, rng=np.random.default_rng(3))
         again = traced(xs, layer, shots=100, rng=np.random.default_rng(3))
         assert np.array_equal(same.outputs, again.outputs)
+
+    def test_draw_order_is_query_key_values(self, rng):
+        # the rng stream, and so `qsann eval --shots` output, depends on this order
+        xs = rng.uniform(-1, 1, (4, 6))
+        expectations = rng.uniform(-1, 1, (4, 8))
+        zq, zk, values, attention, outputs = attend(xs, expectations, 64, np.random.default_rng(3))
+        ref = np.random.default_rng(3)
+
+        def draw(exact):
+            return 2.0 * ref.binomial(64, np.clip((1.0 + exact) / 2.0, 0.0, 1.0)) / 64 - 1.0
+
+        assert np.array_equal(zq, draw(expectations[:, 0]))
+        assert np.array_equal(zk, draw(expectations[:, 1]))
+        assert np.array_equal(values, draw(expectations[:, 2:]))
+        assert np.array_equal(attention.coefficients, gpqsa_coefficients(zq, zk).coefficients)
+        assert np.array_equal(outputs, xs + attention.coefficients @ values)
 
     def test_shots_need_rng(self, rng):
         with pytest.raises(ConfigurationError):

@@ -217,6 +217,9 @@ class TestRunConfig:
         ["train", "--set", "model=csann", "--set", "embed_dim=-2"],
         ["train", "--set", "noise_p=0.1"],
         ["train", "--set", "ratios=[NaN,0.2]"],
+        ["noise-sweep", "--p-list", ""],
+        ["noise-sweep", "--channels", ""],
+        ["noise-sweep", "--p-list", ","],
     ],
 )
 def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
@@ -372,6 +375,21 @@ class TestCmdEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("shots", [[], ["--shots", "8"]])
+    def test_negative_shot_seed_exit_two(self, tmp_path, toy_tsv, capsys, shots):
+        _, out = run_train(tmp_path, toy_tsv, name="bad_seed", seeds=[0], epochs=1)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main([
+            "eval", "--checkpoint", str(out / "seed_0" / "checkpoint.json"),
+            "--shot-seed", "-1", "--out", str(report),
+        ] + shots)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not report.exists()
+
 
 class TestCmdAttention:
     def test_csv_outputs(self, tmp_path, toy_tsv):
@@ -398,6 +416,21 @@ class TestCmdAttention:
             assert matrix.shape == (len(words), len(words))
             assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) < 1e-9
             assert np.allclose(matrix.mean(axis=0), avg, atol=1e-12)
+
+    @pytest.mark.parametrize("indices", ["", ","])
+    def test_empty_index_list_exit_two(self, tmp_path, toy_tsv, capsys, indices):
+        _, out = run_train(tmp_path, toy_tsv, name="attn_empty", seeds=[0], epochs=1)
+        attn_dir = tmp_path / "csv_none"
+        capsys.readouterr()
+        code = main([
+            "attention", "--checkpoint", str(out / "seed_0" / "checkpoint.json"),
+            "--indices", indices, "--out", str(attn_dir),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not attn_dir.exists()
 
     def test_index_out_of_range(self, tmp_path, toy_tsv):
         _, out = run_train(tmp_path, toy_tsv, name="attn_oob")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import attention
+from qsann import attention, model as model_mod, training
 from qsann.errors import ConfigurationError, EmptySequenceError
 from qsann.model import (
     ModelConfig,
@@ -12,6 +12,7 @@ from qsann.model import (
     loss,
     parameter_count,
 )
+from qsann.sim import NoiseChannel
 
 
 class TestConfig:
@@ -77,6 +78,115 @@ class TestForward:
     def test_multilayer_single_token_finite(self, rng):
         model = build_random_model(rng, n_layers=3)
         assert np.isfinite(forward([1], model).y_hat)
+
+
+def per_sentence(sequences, model, noise=None, shots=None, rng=None):
+    """The path forward_many replaces: every layer run sentence by sentence."""
+    for ids in sequences:
+        traces = model_mod.layer_traces(list(ids), model, noise, shots, rng)
+        yield model_mod.predict(model, traces[-1].outputs, [t.attention for t in traces])
+
+
+def per_sentence_evaluate(samples, model, noise=None, shots=None, rng=None):
+    preds = list(per_sentence([ids for ids, _ in samples], model, noise, shots, rng))
+    hits = sum(int(pred.label == label) for pred, (_, label) in zip(preds, samples))
+    errors = [(pred.y_hat - float(label)) ** 2 for pred, (_, label) in zip(preds, samples)]
+    mean_loss = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)
+    return hits / len(samples), mean_loss
+
+
+VOCAB = 90  # more distinct words than one encoding block
+
+
+def vocabulary_pass(rng):
+    """Sentences that repeat words within and across themselves, one of a single
+    word, and together more than ENCODE_BLOCK distinct ids."""
+    sequences = [[3, 1, 3, 4], [4, 4], [1], [7, 3, 1, 7, 7]]
+    for _ in range(30):
+        sequences.append(list(rng.integers(0, VOCAB, rng.integers(1, 9))))
+    sequences.append(list(range(VOCAB)))
+    assert len(np.unique(np.concatenate(sequences))) > model_mod.ENCODE_BLOCK
+    return [(ids, int(rng.integers(0, 2))) for ids in sequences]
+
+
+NOISES = [None, NoiseChannel("depolarizing", 0.1), NoiseChannel("amplitude_damping", 0.2)]
+
+
+class TestForwardMany:
+    @pytest.mark.parametrize("shots", [None, 64])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("noise", NOISES, ids=["pure", "depolarizing", "damping"])
+    def test_equals_per_sentence_path(self, rng, noise, n_layers, shots):
+        model = build_random_model(
+            rng, n_layers=n_layers, vocab_size=VOCAB, lam=0.1, gamma=0.2, scale=0.8
+        )
+        samples = vocabulary_pass(rng)
+        sequences = [ids for ids, _ in samples]
+        seeded = (lambda: np.random.default_rng(11)) if shots else (lambda: None)
+        rng_ref, rng_new = seeded(), seeded()
+        expected = list(per_sentence(sequences, model, noise, shots, rng_ref))
+        got = list(model_mod.forward_many(sequences, model, noise, shots, rng_new))
+        assert len(got) == len(expected)
+        for new, ref in zip(got, expected):
+            assert repr(new.y_hat) == repr(ref.y_hat)
+            assert new.label == ref.label
+            assert len(new.attention) == len(ref.attention) == n_layers
+            for a, b in zip(new.attention, ref.attention):
+                assert np.array_equal(a.coefficients, b.coefficients)
+        if shots:  # both passes drew the same numbers from their rngs
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        ref = per_sentence_evaluate(samples, model, noise, shots, seeded())
+        assert repr(training.evaluate(samples, model, noise, shots, seeded())) == repr(ref)
+
+    def test_forward_and_loss_use_it(self, rng):
+        model = build_random_model(rng, n_layers=2, vocab_size=VOCAB, gamma=0.3)
+        samples = vocabulary_pass(rng)[:6]
+        for (ids, _), ref in zip(samples, per_sentence([i for i, _ in samples], model)):
+            assert repr(forward(ids, model).y_hat) == repr(ref.y_hat)
+        errors = [(p.y_hat - label) ** 2 for p, (_, label) in
+                  zip(per_sentence([i for i, _ in samples], model), samples)]
+        expected = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)
+        assert repr(loss(samples, model)) == repr(expected)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_builds_operators_once_and_encodes_each_word_once(self, rng, monkeypatch, n_layers):
+        model = build_random_model(rng, n_layers=n_layers, vocab_size=VOCAB)
+        samples = vocabulary_pass(rng)
+        unitary_calls = []
+        prepared_rows = []
+        original_unitaries = attention.ansatz_unitaries
+        original_prepare = attention.Engine.prepare
+
+        def count_unitaries(*args):
+            unitary_calls.append(args)
+            return original_unitaries(*args)
+
+        def count_prepare(self, inputs, spec):
+            prepared_rows.append(len(inputs))
+            return original_prepare(self, inputs, spec)
+
+        monkeypatch.setattr(attention, "ansatz_unitaries", count_unitaries)
+        monkeypatch.setattr(attention.Engine, "prepare", count_prepare)
+        training.evaluate(samples, model)
+        assert len(unitary_calls) == n_layers
+        distinct = len(np.unique(np.concatenate([ids for ids, _ in samples])))
+        blocks = -(-distinct // model_mod.ENCODE_BLOCK)
+        first, deeper = prepared_rows[:blocks], prepared_rows[blocks:]
+        assert sum(first) == distinct
+        assert max(first) == model_mod.ENCODE_BLOCK
+        tokens = sum(len(ids) for ids, _ in samples)
+        assert sum(deeper) == (n_layers - 1) * tokens
+
+    def test_checks_every_sequence_first(self, rng, monkeypatch):
+        model = build_random_model(rng)
+        monkeypatch.setattr(attention, "ansatz_unitaries", None)  # never reached
+        with pytest.raises(IndexError):
+            next(model_mod.forward_many([[1], [2], [99]], model))
+        with pytest.raises(EmptySequenceError):
+            next(model_mod.forward_many([[1], []], model))
+
+    def test_no_sequences_no_predictions(self, rng):
+        assert list(model_mod.forward_many([], build_random_model(rng))) == []
 
 
 class TestLoss:
