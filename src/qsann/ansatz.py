@@ -9,10 +9,15 @@ a Hadamard layer.
 
 A column's rotations commute, so each column is one 2**n x 2**n operator,
 the Kronecker product of its rotations (times the ring's permutation when
-a ring precedes it); a circuit's unitary is their ordered product.
+a ring precedes it); a circuit's unitary is their ordered product.  The
+encoder runs in closed form on state rows; the gate-by-gate kernels serve
+only the public single-state functions.
+
 Gradients come from adjoint sweeps (Jones & Gacon, arXiv:2009.02823): with
 state rho_l and observable O_l both carried to column l, the derivative by
-its angle q is Im Tr[P_q rho_l O_l], P_q the column's Pauli on qubit q.
+its angle q is Im Tr[P_q rho_l O_l], P_q the column's Pauli on qubit q; as
+rho_l O_l = V_l (rho U^dag O U) V_l^dag for U = W V_l, V_l columns 0..l, each
+circuit carries one operator forward.
 """
 
 from __future__ import annotations
@@ -158,11 +163,10 @@ def column_operators(spec: AnsatzSpec, angles) -> np.ndarray:
     return ops
 
 
-def ansatz_unitaries(spec: AnsatzSpec, angles) -> np.ndarray:
-    """(rows, 2**n, 2**n) unitaries of the ansatz, one per row of ``angles``:
-    the ordered product of each row's column operators."""
-    columns = column_operators(spec, np.atleast_2d(angles)).swapaxes(0, 1)
-    return functools.reduce(lambda unitaries, ops: ops @ unitaries, columns)
+def ansatz_unitaries(columns: np.ndarray) -> np.ndarray:
+    """(rows, 2**n, 2**n) unitaries of the ansatz, the ordered product of each
+    row's column operators, given (rows, depth + 2, 2**n, 2**n) of them."""
+    return functools.reduce(lambda unitaries, ops: ops @ unitaries, columns.swapaxes(0, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,26 +183,33 @@ def _generators(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def adjoint_operator_gradients(
-    spec: AnsatzSpec, angles, rhos: np.ndarray, observables: np.ndarray, groups
+    spec: AnsatzSpec, columns: np.ndarray, joints: np.ndarray
 ) -> np.ndarray:
-    """(G, param_count) gradients of sum_k Tr[O_k U_g rho_k U_g^dag], g = groups[k], for
-    (G, param_count) ``angles`` and (K, 2**n, 2**n) ``rhos`` and ``observables``."""
-    columns = column_operators(spec, angles)
-    members = np.equal.outer(np.arange(len(columns)), groups).astype(np.float64)
-    for column in range(spec.depth + 2):
-        ops = columns[groups, column]
-        rhos = ops @ rhos @ ops.conj().swapaxes(-1, -2)
-    diagonal = np.arange(rhos.shape[-1])
-    grads = np.empty((len(columns), spec.depth + 2, spec.n_qubits))
-    for column, (kind, _) in reversed(list(enumerate(_columns(spec)))):
-        # Tr[P_q J] = sum_r P_q[r, r'] J[r', r], J = sum_k rho_k O_k per circuit
+    """(G, param_count) gradients of sum_k Tr[O_k U_g rho_k U_g^dag] by the angles of
+    circuits g = 0 .. G-1, given their (G, depth + 2, 2**n, 2**n) column operators and
+    the (G, 2**n, 2**n) joints X_g = sum_{k of circuit g} rho_k U_g^dag O_k U_g."""
+    diagonal = np.arange(joints.shape[-1])
+    grads = np.empty((len(joints), spec.depth + 2, spec.n_qubits))
+    for column, (kind, _) in enumerate(_columns(spec)):
+        # Tr[P_q J] = sum_r P_q[r, r'] J[r', r], J = V_l X V_l^dag
+        ops = columns[:, column]
+        joints = ops @ joints @ ops.conj().swapaxes(-1, -2)
         flips, phases = _generators(kind, spec.n_qubits)
-        joint = np.einsum("gk,kab->gab", members, rhos @ observables)
-        grads[:, column] = (phases * joint[:, flips, diagonal]).sum(-1).imag
-        ops = columns[groups, column]
-        rhos = ops.conj().swapaxes(-1, -2) @ rhos @ ops
-        observables = ops.conj().swapaxes(-1, -2) @ observables @ ops
-    return grads.reshape(len(columns), -1)
+        grads[:, column] = (phases * joints[:, flips, diagonal]).sum(-1).imag
+    return grads.reshape(len(joints), -1)
+
+
+def _ry_column(amps: np.ndarray, half_angles: np.ndarray) -> np.ndarray:
+    """One RY per qubit on each row of a (rows, 2**n) array, given (rows, n) half angles:
+    on the row's (2**q, 2, 2**(n - q - 1)) view, (a_0, a_1) -> cos (a_0, a_1) + sin (-a_1, a_0)."""
+    rows, n = half_angles.shape
+    cos = np.cos(half_angles)[:, :, None, None, None]
+    sin = np.sin(half_angles)[:, :, None, None]
+    signed = np.concatenate([-sin, sin], axis=-1)[..., None]
+    for q in range(n):
+        view = amps.reshape(rows, 2**q, 2, -1)
+        amps = cos[:, q] * view + signed[:, q] * view[:, :, ::-1]
+    return amps.reshape(rows, -1)
 
 
 def adjoint_row_gradients(
@@ -208,33 +219,43 @@ def adjoint_row_gradients(
     psi_s that end with the ansatz of angle row s and duals lambda_s = M_s psi_s."""
     n, rows = spec.n_qubits, states.shape[0]
     pair = np.concatenate([states, duals])  # undo both with one kernel call
+    undo = -0.5 * np.tile(angles, (2, 1)).reshape(2 * rows, spec.depth + 2, n)
     grads = np.empty((rows, spec.depth + 2, n))
     for column, (kind, ring) in reversed(list(enumerate(_columns(spec)))):
         flips, phases = _generators(kind, n)  # <lambda|P_q|psi>, P_q as for the operators
         grads[:, column] = (pair[rows:, None].conj() * phases * pair[:rows, flips]).sum(-1).imag
-        for q in range(n):
-            pair = apply_rotation_batch(pair, kind, q, -np.tile(angles[:, column * n + q], 2), n)
-        if ring:
-            pair = pair @ _cnot_ring(n)
+        if column:  # every column after the first is RY; the first needs no undo
+            pair = _ry_column(pair, undo[:, column])
+            if ring:
+                pair = pair @ _cnot_ring(n)
     return grads.reshape(rows, -1)
 
 
 def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Encode rows of ``inputs`` as states: Hadamard layer, then the ansatz."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    amps = zero_state_batch(spec.n_qubits, inputs.shape[0])
-    amps = apply_hadamard_layer_batch(amps, spec.n_qubits)
-    return run_ansatz_batch(amps, spec, inputs)
+    """Encode rows of ``inputs`` as states: Hadamard layer, then the ansatz.  As
+    RY(b) RX(a) |+> = exp(-i a / 2) RY(b) |+>, the first two columns leave a
+    product state; each deeper column is the ring and a broadcast RY per qubit."""
+    inputs = _check_width(spec, np.atleast_2d(inputs))
+    rows, n = inputs.shape[0], spec.n_qubits
+    half = 0.5 * inputs.reshape(rows, spec.depth + 2, n)
+    cos, sin = np.cos(half[:, 1]), np.sin(half[:, 1])
+    qubits = np.stack([cos - sin, sin + cos], axis=-1) * (
+        np.exp(-1j * half[:, 0]) / np.sqrt(2.0)
+    )[..., None]  # (rows, n, 2)
+    amps = qubits[:, 0]
+    for q in range(1, n):
+        amps = (amps[:, :, None] * qubits[:, q, None, :]).reshape(rows, -1)
+    for column in range(2, spec.depth + 2):
+        if n > 1:
+            amps = amps @ _cnot_ring(n).T
+        amps = _ry_column(amps, half[:, column])
+    return amps
 
 
 def encode_input(x, spec: AnsatzSpec) -> StateVector:
-    """Encode one input vector of length n*(depth+2) as an n-qubit state."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.param_count,):
-        raise ConfigurationError(
-            f"input dimension must be {spec.param_count}, got shape {x.shape}"
-        )
-    return StateVector(spec.n_qubits, encode_batch(x, spec)[0])
+    """Encode one input vector of length n*(depth+2) as an n-qubit state, gate by gate."""
+    amps = apply_hadamard_layer_batch(zero_state_batch(spec.n_qubits, 1), spec.n_qubits)
+    return StateVector(spec.n_qubits, run_ansatz_batch(amps, spec, _as_angles(x, spec))[0])
 
 
 def circuit_expectation(

@@ -15,9 +15,10 @@ which stays pure.  The density-matrix kernels in ``sim`` are the reference
 the tests hold it to.
 
 A layer forward has two parts.  ``layer_operators`` builds what depends only
-on the angles and the noise: the unitaries, E^dag(O) and the effective
-observables, whose ``measure`` encodes input rows and measures each row on
-its own.  ``attend`` is one sentence's step from those expectations: shot
+on the angles and the noise, and the backward pass reuses it: the circuits'
+column operators and unitaries, E^dag(O), U^dag E^dag(O) U and the effective
+observables, against which ``LayerOperators.measure`` measures each input row
+on its own.  ``attend`` is one sentence's step from those expectations: shot
 sampling, attention coefficients and the residual.  ``layer_forward``
 composes the two per sentence; ``model.forward_many`` shares one set of
 operators across a whole pass.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import AnsatzSpec, ParamVector, ansatz_unitaries, encode_batch
+from .ansatz import AnsatzSpec, ParamVector, ansatz_unitaries, column_operators, encode_batch
 from .errors import ConfigurationError, EmptySequenceError
 from .sim import NoiseChannel, PauliString, apply_channel_every_qubit, pauli_matrix
 
@@ -199,20 +200,14 @@ class Engine:
 
     def mix(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """E(sum_s w[k, s] |psi_s><psi_s|) for (K, rows) weights, (K, 2**n, 2**n)."""
-        mixed = np.einsum("ks,sa,sb->kab", weights, states, states.conj())
+        mixed = (weights[:, :, None] * states).swapaxes(1, 2) @ states.conj()
         if self.noise is None:
             return mixed
         return apply_channel_every_qubit(mixed, self.noise, self.n_qubits)
 
-    def apply(self, ops: np.ndarray, unitaries: np.ndarray | None = None) -> np.ndarray:
-        """Carry a (K, 2**n, 2**n) operator stack back through a channel and circuits.
-
-        Returns E^dag(U_k^dag A_k U_k) for each operator A_k and its unitary
-        U_k, the Heisenberg picture of the channel followed by the circuit,
-        or E^dag(A_k) without unitaries, of the channel alone.
-        """
-        if unitaries is not None:
-            ops = unitaries.conj().swapaxes(-1, -2) @ ops @ unitaries
+    def apply(self, ops: np.ndarray) -> np.ndarray:
+        """E^dag(A_k) of each operator of a (K, 2**n, 2**n) stack: the channel on
+        every qubit in the Heisenberg picture (the stack itself without noise)."""
         if self.noise is None:
             return ops
         return apply_channel_every_qubit(ops, self.noise, self.n_qubits, adjoint=True)
@@ -261,7 +256,12 @@ def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
     if zq.shape[0] == 0:
         raise EmptySequenceError("attention needs at least one position")
     raw = np.exp(-((zq[:, None] - zk[None, :]) ** 2))
-    return AttentionMatrix(raw / raw.sum(axis=1, keepdims=True))
+    coefficients = raw / raw.sum(axis=1, keepdims=True)
+    if not coefficients.min() > 0.0:  # underflow far outside [-1, 1]: the checks refuse it
+        return AttentionMatrix(coefficients)
+    matrix = object.__new__(AttentionMatrix)  # rows sum to 1, so entries lie in (0, 1]
+    object.__setattr__(matrix, "coefficients", coefficients)
+    return matrix
 
 
 def measured_quantities(size: int) -> tuple[list[int], list[int]]:
@@ -280,8 +280,7 @@ class LayerTrace:
 
     inputs: np.ndarray  # (S, d) layer inputs
     encoded: np.ndarray  # (S, 2**n) pure encoder states
-    measured: np.ndarray  # (d, 2**n, 2**n) E^dag(O) for each observable O
-    effective: np.ndarray  # (2 + d, 2**n, 2**n) M of each measured quantity
+    operators: LayerOperators  # what the words were measured against
     zq: np.ndarray  # (S,) <Z_1> after the query circuit
     zk: np.ndarray  # (S,) <Z_1> after the key circuit
     values: np.ndarray  # (S, d) value-circuit expectations
@@ -296,8 +295,11 @@ class LayerOperators:
 
     engine: Engine
     enc_spec: AnsatzSpec
+    columns: np.ndarray  # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
+    unitaries: np.ndarray  # (3, 2**n, 2**n) their products
     measured: np.ndarray  # (d, 2**n, 2**n) E^dag(O) for each observable O
-    effective: np.ndarray  # (2 + d, 2**n, 2**n) M of each measured quantity
+    heisenberg: np.ndarray  # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity
+    effective: np.ndarray  # (2 + d, 2**n, 2**n) M = E^dag(U^dag E^dag(O) U) of each
 
     def measure(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d).
@@ -311,18 +313,22 @@ class LayerOperators:
 def layer_operators(
     params: QsalLayerParams, obs: ObservableSet, noise: NoiseChannel | None = None
 ) -> LayerOperators:
-    """The query, key and value unitaries, E^dag(O) and the 2 + d effective observables."""
+    """The query, key and value circuits, E^dag(O) and the 2 + d measured quantities."""
     if obs.size != params.input_dim:
         raise ConfigurationError(
             f"need {params.input_dim} observables to match the input dimension, got {obs.size}"
         )
     engine = Engine(params.n_qubits, noise)
     thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
-    unitaries = ansatz_unitaries(params.qkv_spec, thetas)
+    columns = column_operators(params.qkv_spec, thetas)
+    unitaries = ansatz_unitaries(columns)
     measured = engine.apply(obs.matrices)
     circuits, observables = measured_quantities(obs.size)
-    effective = engine.apply(measured[observables], unitaries[circuits])
-    return LayerOperators(engine, params.enc_spec, measured, effective)
+    per_quantity = unitaries[circuits]
+    heisenberg = per_quantity.conj().swapaxes(-1, -2) @ measured[observables] @ per_quantity
+    return LayerOperators(
+        engine, params.enc_spec, columns, unitaries, measured, heisenberg, engine.apply(heisenberg)
+    )
 
 
 def attend(
@@ -354,6 +360,4 @@ def layer_forward(
     xs = _check_inputs(inputs, params)
     ops = layer_operators(params, obs, noise)
     encoded, expectations = ops.measure(xs)
-    return LayerTrace(
-        xs, encoded, ops.measured, ops.effective, *attend(xs, expectations, shots, rng)
-    )
+    return LayerTrace(xs, encoded, ops, *attend(xs, expectations, shots, rng))

@@ -192,13 +192,15 @@ def _load_config_sources(args) -> dict:
 
 
 def _parse_list(text: str, convert, what: str) -> list:
-    """At least one comma-separated item, each passed through ``convert``."""
+    """At least one comma-separated item, each passed through ``convert``, none twice."""
     try:
         items = [convert(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ConfigurationError(f"expected comma-separated {what}, got {text!r}")
     if not items:
         raise ConfigurationError(f"expected at least one of the {what}, got {text!r}")
+    if len(set(items)) != len(items):
+        raise ConfigurationError(f"expected distinct {what}, got {text!r}")
     return items
 
 

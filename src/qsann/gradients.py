@@ -22,8 +22,9 @@ to a layer input splits into residual, value, query and key contributions;
 layers are traversed last to first so stacked models backpropagate.
 
 Measured quantity k (query/key Z_1, d values) weighs word s by its upstream
-gradient w_k[s]: circuit angles sweep rho_k = E(sum_s w_k[s] |enc_s><enc_s|)
-against E^dag(O_k), word s's encoder angles sweep against sum_k w_k[s] M_k.
+gradient w_k[s]: circuit angles sweep X = sum_k rho_k U^dag E^dag(O_k) U, one
+per circuit, with rho_k = E(sum_s w_k[s] |enc_s><enc_s|); word s's encoder
+angles sweep against sum_k w_k[s] M_k.
 """
 
 from __future__ import annotations
@@ -104,20 +105,25 @@ def layer_backward(
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - beta_bar[:, None])
     d_zk = attn_term.sum(axis=0)
     d_zq = -attn_term.sum(axis=1)
-    # weight of each word in each measured quantity, rows ordered as trace.effective
+    # weight of each word in each measured quantity, rows as in measured_quantities
     weights = np.vstack([d_zq, d_zk, d_values.T])
+    ops = trace.operators
 
-    # Angle gradients: sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag]
-    # with rho_k = E(sum_s w_k[s] |enc_s><enc_s|), U the quantity's circuit.
-    circuits, observables = measured_quantities(obs.size)
-    thetas = [layer.theta_q.values, layer.theta_k.values, layer.theta_v.values]
-    rhos, measured = engine.mix(trace.encoded, weights), trace.measured[observables]
-    d_theta = adjoint_operator_gradients(layer.qkv_spec, thetas, rhos, measured, circuits)
+    # ENCODE_BLOCK words at a time, so that no intermediate grows with the sentence:
+    # rho_k, and each word's encoder sweep (its angles are the inputs) against M_s.
+    d_u, rhos = g.copy(), 0.0
+    for start in range(0, len(u), model_mod.ENCODE_BLOCK):
+        block = slice(start, start + model_mod.ENCODE_BLOCK)
+        states = trace.encoded[block]
+        rhos = rhos + engine.mix(states, weights[:, block])
+        duals = np.einsum("ks,kas->sa", weights[:, block], ops.effective @ states.T)
+        d_u[block] += adjoint_row_gradients(layer.enc_spec, u[block], states, duals)
 
-    # Gradient with respect to the layer inputs: the encoder circuit's angles
-    # are the input entries, and word s measures M_s = sum_k w_k[s] M_k.
-    duals = np.einsum("ks,kas->sa", weights, trace.effective @ trace.encoded.T)
-    d_u = g + adjoint_row_gradients(layer.enc_spec, u, trace.encoded, duals)
+    # sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag], U the quantity's circuit
+    products = rhos @ ops.heisenberg
+    circuits, _ = measured_quantities(obs.size)
+    joints = np.stack([products[np.equal(circuits, c)].sum(axis=0) for c in range(3)])
+    d_theta = adjoint_operator_gradients(layer.qkv_spec, ops.columns, joints)
     return d_theta[0], d_theta[1], d_theta[2], d_u
 
 

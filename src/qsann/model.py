@@ -64,13 +64,19 @@ class ModelConfig:
             raise ConfigurationError("need at least one attention layer")
         if self.lam < 0 or self.gamma < 0:
             raise ConfigurationError("regularization coefficients must be >= 0")
-        # A layer's adjoint backward holds 3 (D_qkv + 2) column operators and, per
-        # measured quantity, its rho, its O and its effective observable (2**n x 2**n).
-        need = 16 * 4**self.n_qubits * (3 * (self.qkv_depth + 2) + 3 * (2 + self.embed_dim))
+        # Operators of 2**n x 2**n, counted high.  Each layer's trace keeps 3 (D_qkv + 2)
+        # column operators, 3 unitaries, d E^dag(O), and U^dag E^dag(O) U and M for each of
+        # K = 2 + d quantities.  Building one layer's operators or running its backward adds
+        # 5 K (rho_k, channel temporaries, products) and 12 for the sweep of the 3 X_g; the
+        # d observable matrices are shared.  Per-word arrays are not counted.
+        quantities = 2 + self.embed_dim
+        per_layer = 3 * (self.qkv_depth + 3) + self.embed_dim + 2 * quantities
+        operators = self.n_layers * per_layer + 5 * quantities + 12 + self.embed_dim
+        need = 16 * 4**self.n_qubits * operators
         if need > ENGINE_MEMORY_BUDGET:
             raise ConfigurationError(
-                f"geometry needs {need} bytes of operators (16 B * 4**n * (3 (D_qkv + 2) "
-                f"+ 3 (2 + d))), over the {ENGINE_MEMORY_BUDGET}-byte budget"
+                f"geometry needs {need} bytes for {operators} operators of 2**n x 2**n, "
+                f"over the {ENGINE_MEMORY_BUDGET}-byte budget"
             )
 
     @property

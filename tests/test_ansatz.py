@@ -9,6 +9,7 @@ from qsann.ansatz import (
     ansatz_unitaries,
     build_circuit,
     circuit_expectation,
+    column_operators,
     encode_batch,
     encode_input,
     param_shift_grad,
@@ -129,6 +130,20 @@ class TestEncodeInput:
             via_gates = apply_circuit(state, gates).amplitudes
             assert np.max(np.abs(batched - via_gates)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_closed_form_matches_kronecker_oracle(self, rng, n, depth):
+        # one angle row per state; build_circuit wraps angles into [0, 2 pi),
+        # which would flip a rotation's sign
+        spec = AnsatzSpec(n, depth)
+        rows = rng.uniform(0, 2 * np.pi, (5, spec.param_count))
+        got = encode_batch(rows, spec)
+        zero = init_zero_state(n).amplitudes
+        for row, state in zip(rows, got):
+            gates = [Gate("H", q) for q in range(n)] + build_circuit(spec, row)
+            assert np.max(np.abs(state - circuit_unitary(gates, n) @ zero)) < 1e-13
+            assert np.max(np.abs(state - encode_input(row, spec).amplitudes)) < 1e-13
+
     def test_out_of_range_angles_same_expectations(self, rng):
         # gate-list angles wrap by 2*pi; only a global phase can differ
         spec = AnsatzSpec(2, 1)
@@ -226,7 +241,7 @@ class TestBatchedRunner:
         spec = AnsatzSpec(n, depth)
         # build_circuit wraps angles into [0, 2 pi), which flips a rotation's sign
         angles = rng.uniform(0, 2 * np.pi, (4, spec.param_count))
-        got = ansatz_unitaries(spec, angles)
+        got = ansatz_unitaries(column_operators(spec, angles))
         for row, unitary in zip(angles, got):
             want = circuit_unitary(build_circuit(spec, row), n)
             assert np.max(np.abs(unitary - want)) < 1e-12

@@ -169,12 +169,32 @@ class TestGpqsa:
             assert np.all(coeff > 0.0) and np.all(coeff <= 1.0)
 
 
+    def test_same_bits_as_the_checked_construction(self, rng):
+        for s in (1, 2, 12, 200):
+            zq, zk = rng.uniform(-1, 1, s), rng.uniform(-1, 1, s)
+            raw = np.exp(-((zq[:, None] - zk[None, :]) ** 2))
+            want = AttentionMatrix(raw / raw.sum(axis=1, keepdims=True))
+            got = gpqsa_coefficients(zq, zk)
+            assert type(got) is AttentionMatrix
+            assert got.coefficients.dtype == want.coefficients.dtype
+            assert np.array_equal(got.coefficients, want.coefficients)
+
+    def test_underflowed_entries_still_refused(self):
+        # far outside the expectations' range exp(-d^2) underflows to zero
+        with pytest.raises(ConfigurationError):
+            gpqsa_coefficients(np.array([0.0, 0.0]), np.array([0.0, 40.0]))
+
+
 class TestAttentionMatrixType:
     def test_rejects_bad_rows(self):
         with pytest.raises(ConfigurationError):
             AttentionMatrix(np.array([[0.6, 0.6], [0.5, 0.5]]))
         with pytest.raises(ConfigurationError):
             AttentionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))  # zero entry
+        with pytest.raises(ConfigurationError):
+            AttentionMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))  # outside (0, 1]
+        with pytest.raises(ConfigurationError):
+            AttentionMatrix(np.array([[0.5, 0.5]]))  # not square
 
 
 class TestLayerForward:

@@ -220,6 +220,10 @@ class TestRunConfig:
         ["noise-sweep", "--p-list", ""],
         ["noise-sweep", "--channels", ""],
         ["noise-sweep", "--p-list", ","],
+        ["noise-sweep", "--p-list", "0.1,0.1"],
+        ["noise-sweep", "--p-list", "0.1,0.2,0.10"],
+        ["noise-sweep", "--channels", "depolarizing,depolarizing"],
+        ["train", "--seeds", "1,01"],
     ],
 )
 def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
@@ -417,8 +421,8 @@ class TestCmdAttention:
             assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) < 1e-9
             assert np.allclose(matrix.mean(axis=0), avg, atol=1e-12)
 
-    @pytest.mark.parametrize("indices", ["", ","])
-    def test_empty_index_list_exit_two(self, tmp_path, toy_tsv, capsys, indices):
+    @pytest.mark.parametrize("indices", ["", ",", "1,1", "0,2,00"])
+    def test_empty_or_repeated_index_list_exit_two(self, tmp_path, toy_tsv, capsys, indices):
         _, out = run_train(tmp_path, toy_tsv, name="attn_empty", seeds=[0], epochs=1)
         attn_dir = tmp_path / "csv_none"
         capsys.readouterr()

@@ -1,32 +1,33 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, build_random_model, finite_difference
 from qsann import model as model_mod
-from qsann.ansatz import build_circuit
+from qsann.ansatz import build_circuit, run_ansatz_batch
 from qsann.attention import (
-    Engine,
     ObservableSet,
     QsalLayerParams,
     layer_forward,
     measured_quantities,
 )
-from qsann.errors import EmptySequenceError
+from qsann.errors import ConfigurationError, EmptySequenceError
 from qsann.gradients import (
     backward,
     bundle_as_dict,
     layer_backward,
     model_param_dict,
 )
-from qsann.sim import NoiseChannel, circuit_unitary
+from qsann.sim import NoiseChannel, apply_channel_batch, circuit_unitary
 
 
 # ---------------------------------------------------------------------------
 # Parameter-shift reference: every query/key/value and encoder angle shifted
 # by +/- pi/2, each shifted circuit built whole, the query/key/value ones by
-# the Kronecker-product oracle.
+# the Kronecker-product oracle, the encoder gate by gate, and every mixed
+# state as explicit outer products under the density-matrix channel kernel.
 
 
 def _shift_rows(rows):
@@ -44,33 +45,50 @@ def _oracle_unitary(spec, angles):
     return circuit_unitary(build_circuit(spec, np.array(angles)), spec.n_qubits)
 
 
+def _gate_encoder(spec, rows):
+    """Encoder states of (R, c) angle rows: |+...+>, then the ansatz gate by gate."""
+    plus = np.full((len(rows), 2**spec.n_qubits), 2.0 ** (-spec.n_qubits / 2), complex)
+    return run_ansatz_batch(plus, spec, rows)
+
+
+def _mixed_states(states, weights, noise, n_qubits):
+    """E(sum_s w[k, s] |psi_s><psi_s|) for each row k of the weights."""
+    rhos = np.array([
+        sum(w * np.outer(psi, psi.conj()) for w, psi in zip(row, states)) for row in weights
+    ])
+    for q in range(n_qubits if noise is not None else 0):
+        rhos = apply_channel_batch(rhos, noise, q, n_qubits)
+    return rhos
+
+
 def shift_layer_backward(layer, obs, trace, g, noise=None):
     """layer_backward's four gradients by the parameter-shift rule."""
     u, zq, zk = trace.inputs, trace.zq, trace.zk
     alpha, values = trace.attention.coefficients, trace.values
-    engine = Engine(layer.n_qubits, noise)
+    ops = trace.operators
     beta = g @ values.T
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - (alpha * beta).sum(1)[:, None])
     weights = np.vstack([-attn_term.sum(axis=1), attn_term.sum(axis=0), (alpha.T @ g).T])
 
     thetas = np.stack([layer.theta_q.values, layer.theta_k.values, layer.theta_v.values])
     shift_rows = _shift_rows(thetas).reshape(3, -1, thetas.shape[1])  # +, - per angle
-    rhos = engine.mix(engine.prepare(u, layer.enc_spec), weights)
+    rhos = _mixed_states(_gate_encoder(layer.enc_spec, u), weights, noise, layer.n_qubits)
     circuits, observables = measured_quantities(obs.size)
     d_theta = np.zeros_like(thetas)
     for circuit, rows in enumerate(shift_rows):
         shifted = np.stack([_oracle_unitary(layer.qkv_spec, tuple(row)) for row in rows])
         for k in np.flatnonzero(np.equal(circuits, circuit)):
             moved = shifted @ rhos[k] @ shifted.conj().swapaxes(-1, -2)
-            traces = np.einsum("ab,pba->p", trace.measured[observables[k]], moved).real
+            traces = np.einsum("ab,pba->p", ops.measured[observables[k]], moved).real
             d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
 
     (n_words, width), dim = u.shape, 2**layer.n_qubits
-    per_word = np.einsum("ks,kab->sab", weights, trace.effective)
-    enc_shifted = engine.prepare(_shift_rows(u).reshape(-1, width), layer.enc_spec)
-    shifted_values = engine.expect(
-        enc_shifted.reshape(n_words, 2 * width, dim), per_word[:, None]
-    ).reshape(n_words, width, 2)
+    per_word = np.einsum("ks,kab->sab", weights, ops.effective)
+    enc_shifted = _gate_encoder(layer.enc_spec, _shift_rows(u).reshape(-1, width))
+    enc_shifted = enc_shifted.reshape(n_words, 2 * width, dim)
+    shifted_values = np.einsum(
+        "spa,sab,spb->sp", enc_shifted.conj(), per_word, enc_shifted
+    ).real.reshape(n_words, width, 2)
     d_u = g + (shifted_values[:, :, 0] - shifted_values[:, :, 1]) / 2.0
     return d_theta[0], d_theta[1], d_theta[2], d_u
 
@@ -204,6 +222,50 @@ class TestLayerInputGradient:
                 phi_minus = float(np.sum(g * layer_forward(u_minus, layer, obs).outputs))
                 fd = (phi_plus - phi_minus) / (2 * h)
                 assert d_u[s, r] == pytest.approx(fd, abs=1e-5)
+
+
+class TestLongSentences:
+    @pytest.mark.parametrize("noise", [None, NoiseChannel("depolarizing", 0.1)])
+    def test_blocked_sweeps_match_one_block(self, rng, monkeypatch, noise):
+        # ENCODE_BLOCK words at a time: the layer-input gradient is the same to the
+        # bit, the circuit gradients up to the order in which the blocks are summed
+        layer = QsalLayerParams.create(4, 1, 1, rng=rng, std=0.8)
+        obs = ObservableSet.default(4, layer.input_dim)
+        u = rng.uniform(-2, 2, (200, layer.input_dim))
+        g = rng.normal(size=u.shape)
+        trace = layer_forward(u, layer, obs, noise)
+        blocked = layer_backward(layer, obs, trace, g, noise)
+        monkeypatch.setattr(model_mod, "ENCODE_BLOCK", len(u))
+        whole = layer_backward(layer, obs, trace, g, noise)
+        assert np.array_equal(blocked[3], whole[3])
+        for a, b in zip(blocked[:3], whole[:3]):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
+class TestOperatorMemory:
+    @pytest.mark.parametrize(
+        "geometry,noise",
+        [
+            ((6, 1, 0, 1), None),
+            ((6, 1, 0, 1), NoiseChannel("amplitude_damping", 0.2)),
+            ((6, 0, 2, 2), NoiseChannel("depolarizing", 0.1)),
+        ],
+    )
+    def test_geometry_check_counts_no_less_than_a_backward_holds(
+        self, rng, monkeypatch, geometry, noise
+    ):
+        model = model_mod.init_model(model_mod.ModelConfig(*geometry), 8, rng, std=0.5)
+        sample = (list(rng.integers(0, 8, 6)), 1)
+        tracemalloc.start()
+        try:
+            model.observables.matrices  # built inside the measured span
+            backward(sample, model, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(model_mod, "ENGINE_MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ConfigurationError, match="over the"):
+            model_mod.ModelConfig(*geometry)
 
 
 class TestBundleUtilities:

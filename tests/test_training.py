@@ -1,11 +1,13 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import data, gradients, model as model_mod
+from qsann import ansatz, data, gradients, model as model_mod, sim
 from qsann.errors import ConfigurationError, EmptySequenceError, TrainingAborted
+from qsann.sim import NoiseChannel
 from qsann.training import AdamState, TrainConfig, adam_step, evaluate, train
 
 
@@ -208,3 +210,28 @@ class TestTrainLoop:
         )
         result = train(ds, model, TrainConfig(learning_rate=0.01, epochs=2, seed=0, batch_size=8))
         assert len(result.metrics) == 3
+
+
+@pytest.mark.parametrize(
+    "noise", [None, NoiseChannel("depolarizing", 0.1)], ids=["pure", "depolarizing"]
+)
+def test_training_path_runs_no_gate_by_gate_kernel(monkeypatch, noise):
+    # the encoder and every sweep work on column operators or in closed form; the
+    # gate-by-gate kernels serve only the single-state functions and the tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("gate-by-gate kernel on the training path")
+
+    kernels = (ansatz.run_ansatz_batch, sim.apply_rotation_batch, sim.apply_hadamard_layer_batch)
+    for name, module in list(sys.modules.items()):
+        if name == "qsann" or name.startswith("qsann."):
+            for attr, value in list(vars(module).items()):
+                if any(value is kernel for kernel in kernels):
+                    monkeypatch.setattr(module, attr, refuse)
+    ds = toy_dataset(n_samples=20)
+    model = model_mod.init_model(
+        model_mod.ModelConfig(2, 1, 1, 1), ds.vocabulary.size, np.random.default_rng(0)
+    )
+    result = train(ds, model, TrainConfig(learning_rate=0.01, epochs=1, seed=0), noise)
+    assert len(result.metrics) == 2
+    accuracy, loss = evaluate(ds.test, model, noise)
+    assert 0.0 <= accuracy <= 1.0 and np.isfinite(loss)
