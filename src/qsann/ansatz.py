@@ -11,7 +11,7 @@ A column's rotations commute, so each column is one 2**n x 2**n operator,
 the Kronecker product of its rotations (times the ring's permutation when
 a ring precedes it); a circuit's unitary is their ordered product.  The
 encoder runs in closed form on state rows; the gate-by-gate kernels serve
-only the public single-state functions.
+only ``circuit_expectation`` and ``param_shift_grad``.
 
 Gradients come from adjoint sweeps (Jones & Gacon, arXiv:2009.02823): with
 state rho_l and observable O_l both carried to column l, the derivative by
@@ -33,11 +33,9 @@ from .sim import (
     PauliString,
     StateVector,
     apply_cnot_batch,
-    apply_hadamard_layer_batch,
     apply_rotation_batch,
     expectation_batch,
     rotation_matrix,
-    zero_state_batch,
 )
 
 
@@ -253,9 +251,8 @@ def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
 
 
 def encode_input(x, spec: AnsatzSpec) -> StateVector:
-    """Encode one input vector of length n*(depth+2) as an n-qubit state, gate by gate."""
-    amps = apply_hadamard_layer_batch(zero_state_batch(spec.n_qubits, 1), spec.n_qubits)
-    return StateVector(spec.n_qubits, run_ansatz_batch(amps, spec, _as_angles(x, spec))[0])
+    """Encode one input vector of length n*(depth+2) as an n-qubit state."""
+    return StateVector(spec.n_qubits, encode_batch(_as_angles(x, spec), spec)[0])
 
 
 def circuit_expectation(

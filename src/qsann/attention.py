@@ -16,12 +16,12 @@ the tests hold it to.
 
 A layer forward has two parts.  ``layer_operators`` builds what depends only
 on the angles and the noise, and the backward pass reuses it: the circuits'
-column operators and unitaries, E^dag(O), U^dag E^dag(O) U and the effective
-observables, against which ``LayerOperators.measure`` measures each input row
-on its own.  ``attend`` is one sentence's step from those expectations: shot
-sampling, attention coefficients and the residual.  ``layer_forward``
-composes the two per sentence; ``model.forward_many`` shares one set of
-operators across a whole pass.
+column operators, U^dag E^dag(O) U and the effective observables, against
+which ``LayerOperators.measure`` measures each input row on its own.
+``attend`` is one sentence's step from those expectations: shot sampling,
+attention coefficients and the residual.  ``layer_forward`` composes the two
+per sentence; ``model.forward_many`` shares one set of operators across a
+whole pass.
 """
 
 from __future__ import annotations
@@ -198,12 +198,12 @@ class Engine:
         """Pure encoder states of the input rows, (rows, 2**n)."""
         return encode_batch(inputs, enc_spec)
 
-    def mix(self, states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """E(sum_s w[k, s] |psi_s><psi_s|) for (K, rows) weights, (K, 2**n, 2**n)."""
-        mixed = (weights[:, :, None] * states).swapaxes(1, 2) @ states.conj()
+    def channel(self, rhos: np.ndarray) -> np.ndarray:
+        """E(rho_k) of each state of a (K, 2**n, 2**n) stack: the channel on every
+        qubit (the stack itself without noise)."""
         if self.noise is None:
-            return mixed
-        return apply_channel_every_qubit(mixed, self.noise, self.n_qubits)
+            return rhos
+        return apply_channel_every_qubit(rhos, self.noise, self.n_qubits)
 
     def apply(self, ops: np.ndarray) -> np.ndarray:
         """E^dag(A_k) of each operator of a (K, 2**n, 2**n) stack: the channel on
@@ -296,8 +296,6 @@ class LayerOperators:
     engine: Engine
     enc_spec: AnsatzSpec
     columns: np.ndarray  # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
-    unitaries: np.ndarray  # (3, 2**n, 2**n) their products
-    measured: np.ndarray  # (d, 2**n, 2**n) E^dag(O) for each observable O
     heisenberg: np.ndarray  # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity
     effective: np.ndarray  # (2 + d, 2**n, 2**n) M = E^dag(U^dag E^dag(O) U) of each
 
@@ -313,7 +311,7 @@ class LayerOperators:
 def layer_operators(
     params: QsalLayerParams, obs: ObservableSet, noise: NoiseChannel | None = None
 ) -> LayerOperators:
-    """The query, key and value circuits, E^dag(O) and the 2 + d measured quantities."""
+    """The query, key and value column operators and the 2 + d measured quantities."""
     if obs.size != params.input_dim:
         raise ConfigurationError(
             f"need {params.input_dim} observables to match the input dimension, got {obs.size}"
@@ -326,9 +324,7 @@ def layer_operators(
     circuits, observables = measured_quantities(obs.size)
     per_quantity = unitaries[circuits]
     heisenberg = per_quantity.conj().swapaxes(-1, -2) @ measured[observables] @ per_quantity
-    return LayerOperators(
-        engine, params.enc_spec, columns, unitaries, measured, heisenberg, engine.apply(heisenberg)
-    )
+    return LayerOperators(engine, params.enc_spec, columns, heisenberg, engine.apply(heisenberg))
 
 
 def attend(

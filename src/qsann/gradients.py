@@ -110,14 +110,16 @@ def layer_backward(
     ops = trace.operators
 
     # ENCODE_BLOCK words at a time, so that no intermediate grows with the sentence:
-    # rho_k, and each word's encoder sweep (its angles are the inputs) against M_s.
-    d_u, rhos = g.copy(), 0.0
+    # sum_s w_k[s] |enc_s><enc_s|, and each word's encoder sweep (its angles are the
+    # inputs) against M_s.
+    d_u, mixed = g.copy(), 0.0
     for start in range(0, len(u), model_mod.ENCODE_BLOCK):
         block = slice(start, start + model_mod.ENCODE_BLOCK)
         states = trace.encoded[block]
-        rhos = rhos + engine.mix(states, weights[:, block])
+        mixed = mixed + (weights[:, block, None] * states).swapaxes(1, 2) @ states.conj()
         duals = np.einsum("ks,kas->sa", weights[:, block], ops.effective @ states.T)
         d_u[block] += adjoint_row_gradients(layer.enc_spec, u[block], states, duals)
+    rhos = engine.channel(mixed)  # rho_k, the channel applied once
 
     # sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag], U the quantity's circuit
     products = rhos @ ops.heisenberg

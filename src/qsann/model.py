@@ -64,14 +64,12 @@ class ModelConfig:
             raise ConfigurationError("need at least one attention layer")
         if self.lam < 0 or self.gamma < 0:
             raise ConfigurationError("regularization coefficients must be >= 0")
-        # Operators of 2**n x 2**n, counted high.  Each layer's trace keeps 3 (D_qkv + 2)
-        # column operators, 3 unitaries, d E^dag(O), and U^dag E^dag(O) U and M for each of
-        # K = 2 + d quantities.  Building one layer's operators or running its backward adds
-        # 5 K (rho_k, channel temporaries, products) and 12 for the sweep of the 3 X_g; the
-        # d observable matrices are shared.  Per-word arrays are not counted.
+        # Operators of 2**n x 2**n, counted high: each layer's trace keeps 3 (D_qkv + 2)
+        # column operators and 2 per measured quantity (K = 2 + d); one layer's build or
+        # backward adds at most 6 K + 12, and the d shared observables fewer than K.
         quantities = 2 + self.embed_dim
-        per_layer = 3 * (self.qkv_depth + 3) + self.embed_dim + 2 * quantities
-        operators = self.n_layers * per_layer + 5 * quantities + 12 + self.embed_dim
+        per_layer = 3 * (self.qkv_depth + 2) + 2 * quantities
+        operators = self.n_layers * per_layer + 7 * quantities + 12
         need = 16 * 4**self.n_qubits * operators
         if need > ENGINE_MEMORY_BUDGET:
             raise ConfigurationError(

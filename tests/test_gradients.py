@@ -51,14 +51,19 @@ def _gate_encoder(spec, rows):
     return run_ansatz_batch(plus, spec, rows)
 
 
+def _channel(rhos, noise, n_qubits):
+    """The channel on every qubit of a density-matrix stack, one qubit at a time."""
+    for q in range(n_qubits if noise is not None else 0):
+        rhos = apply_channel_batch(rhos, noise, q, n_qubits)
+    return rhos
+
+
 def _mixed_states(states, weights, noise, n_qubits):
     """E(sum_s w[k, s] |psi_s><psi_s|) for each row k of the weights."""
     rhos = np.array([
         sum(w * np.outer(psi, psi.conj()) for w, psi in zip(row, states)) for row in weights
     ])
-    for q in range(n_qubits if noise is not None else 0):
-        rhos = apply_channel_batch(rhos, noise, q, n_qubits)
-    return rhos
+    return _channel(rhos, noise, n_qubits)
 
 
 def shift_layer_backward(layer, obs, trace, g, noise=None):
@@ -79,7 +84,8 @@ def shift_layer_backward(layer, obs, trace, g, noise=None):
         shifted = np.stack([_oracle_unitary(layer.qkv_spec, tuple(row)) for row in rows])
         for k in np.flatnonzero(np.equal(circuits, circuit)):
             moved = shifted @ rhos[k] @ shifted.conj().swapaxes(-1, -2)
-            traces = np.einsum("ab,pba->p", ops.measured[observables[k]], moved).real
+            moved = _channel(moved, noise, layer.n_qubits)  # Tr[O E(U rho U^dag)]
+            traces = np.einsum("ab,pba->p", obs.matrices[observables[k]], moved).real
             d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
 
     (n_words, width), dim = u.shape, 2**layer.n_qubits

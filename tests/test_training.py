@@ -217,7 +217,7 @@ class TestTrainLoop:
 )
 def test_training_path_runs_no_gate_by_gate_kernel(monkeypatch, noise):
     # the encoder and every sweep work on column operators or in closed form; the
-    # gate-by-gate kernels serve only the single-state functions and the tests
+    # gate-by-gate kernels serve only circuit_expectation, param_shift_grad and tests
     def refuse(*args, **kwargs):
         raise AssertionError("gate-by-gate kernel on the training path")
 
