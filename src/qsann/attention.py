@@ -14,14 +14,15 @@ observables, and the only state simulated per word is its encoder state,
 which stays pure.  The density-matrix kernels in ``sim`` are the reference
 the tests hold it to.
 
-A layer forward has two parts.  ``layer_operators`` builds what depends only
-on the angles and the noise, and the backward pass reuses it: the circuits'
-column operators, U^dag E^dag(O) U and the effective observables, against
-which ``LayerOperators.measure`` measures each input row on its own.
-``attend`` is one sentence's step from those expectations: shot sampling,
-attention coefficients and the residual.  ``layer_forward`` composes the two
-per sentence; ``model.forward_many`` shares one set of operators across a
-whole pass.
+A layer forward has two parts.  ``Engine(params, obs, noise)`` is the layer
+itself, built once per parameter setting: the noise, the circuits' column
+operators, U^dag E^dag(O) U and the effective observables, against which
+``Engine.measure`` measures each input row on its own.  ``attend`` is one
+sentence's step from those expectations: shot sampling, attention
+coefficients and the residual.  ``layer_forward`` composes the two per
+sentence and keeps the engine in its ``LayerTrace``, from which the backward
+pass reads everything it needs; ``model.forward_many`` shares one engine per
+layer across a whole pass.
 """
 
 from __future__ import annotations
@@ -182,21 +183,39 @@ class AttentionMatrix:
 
 
 class Engine:
-    """Heisenberg-picture evaluation of a layer, with or without noise.
+    """One layer's circuits and measured quantities, with or without noise.
 
     A word's expectation of O is <enc|M|enc> with M = E^dag(U^dag E^dag(O) U),
     measured on its pure encoder state, where U is the query, key or value
     circuit and E the channel on every qubit (the identity without noise or
-    at p = 0).
+    at p = 0).  Nothing here depends on the words, so one engine serves every
+    sentence of a pass.
     """
 
-    def __init__(self, n_qubits: int, noise: NoiseChannel | None = None):
-        self.n_qubits = n_qubits
+    def __init__(
+        self, params: QsalLayerParams, obs: ObservableSet, noise: NoiseChannel | None = None
+    ):
+        if obs.size != params.input_dim:
+            raise ConfigurationError(
+                f"need {params.input_dim} observables to match the input dimension, got {obs.size}"
+            )
+        self.n_qubits = params.n_qubits
         self.noise = noise if noise is not None and noise.p > 0.0 else None
+        self.enc_spec, self.qkv_spec = params.enc_spec, params.qkv_spec
+        thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
+        # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
+        self.columns = column_operators(self.qkv_spec, thetas)
+        unitaries = ansatz_unitaries(self.columns)
+        measured = self.apply(obs.matrices)
+        self.circuits, observables = measured_quantities(obs.size)
+        u = unitaries[self.circuits]  # each measured quantity's circuit
+        # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and M of each
+        self.heisenberg = u.conj().swapaxes(-1, -2) @ measured[observables] @ u
+        self.effective = self.apply(self.heisenberg)
 
-    def prepare(self, inputs: np.ndarray, enc_spec: AnsatzSpec) -> np.ndarray:
+    def prepare(self, inputs: np.ndarray) -> np.ndarray:
         """Pure encoder states of the input rows, (rows, 2**n)."""
-        return encode_batch(inputs, enc_spec)
+        return encode_batch(inputs, self.enc_spec)
 
     def channel(self, rhos: np.ndarray) -> np.ndarray:
         """E(rho_k) of each state of a (K, 2**n, 2**n) stack: the channel on every
@@ -219,6 +238,14 @@ class Engine:
         """
         moved = np.einsum("...kab,...rb->...rka", ops, states)
         return np.einsum("...ra,...rka->...rk", states.conj(), moved).real
+
+    def measure(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d).
+
+        Each row's expectations depend on that row alone.
+        """
+        encoded = self.prepare(inputs)
+        return encoded, np.clip(self.expect(encoded, self.effective), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,51 +307,12 @@ class LayerTrace:
 
     inputs: np.ndarray  # (S, d) layer inputs
     encoded: np.ndarray  # (S, 2**n) pure encoder states
-    operators: LayerOperators  # what the words were measured against
+    engine: Engine  # what the words were measured against
     zq: np.ndarray  # (S,) <Z_1> after the query circuit
     zk: np.ndarray  # (S,) <Z_1> after the key circuit
     values: np.ndarray  # (S, d) value-circuit expectations
     attention: AttentionMatrix
     outputs: np.ndarray  # (S, d) residual outputs
-
-
-@dataclass(frozen=True)
-class LayerOperators:
-    """What a layer measures, built once per parameter setting: it does not
-    depend on the words, so one set serves every sentence of a pass."""
-
-    engine: Engine
-    enc_spec: AnsatzSpec
-    columns: np.ndarray  # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
-    heisenberg: np.ndarray  # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity
-    effective: np.ndarray  # (2 + d, 2**n, 2**n) M = E^dag(U^dag E^dag(O) U) of each
-
-    def measure(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d).
-
-        Each row's expectations depend on that row alone.
-        """
-        encoded = self.engine.prepare(inputs, self.enc_spec)
-        return encoded, np.clip(self.engine.expect(encoded, self.effective), -1.0, 1.0)
-
-
-def layer_operators(
-    params: QsalLayerParams, obs: ObservableSet, noise: NoiseChannel | None = None
-) -> LayerOperators:
-    """The query, key and value column operators and the 2 + d measured quantities."""
-    if obs.size != params.input_dim:
-        raise ConfigurationError(
-            f"need {params.input_dim} observables to match the input dimension, got {obs.size}"
-        )
-    engine = Engine(params.n_qubits, noise)
-    thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
-    columns = column_operators(params.qkv_spec, thetas)
-    unitaries = ansatz_unitaries(columns)
-    measured = engine.apply(obs.matrices)
-    circuits, observables = measured_quantities(obs.size)
-    per_quantity = unitaries[circuits]
-    heisenberg = per_quantity.conj().swapaxes(-1, -2) @ measured[observables] @ per_quantity
-    return LayerOperators(engine, params.enc_spec, columns, heisenberg, engine.apply(heisenberg))
 
 
 def attend(
@@ -351,9 +339,9 @@ def layer_forward(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> LayerTrace:
-    """One attention layer with its trace: the layer's operators, the words'
-    encoder states measured against them, then the attention step."""
+    """One attention layer with its trace: the layer's engine, the words'
+    encoder states measured against it, then the attention step."""
     xs = _check_inputs(inputs, params)
-    ops = layer_operators(params, obs, noise)
-    encoded, expectations = ops.measure(xs)
-    return LayerTrace(xs, encoded, ops, *attend(xs, expectations, shots, rng))
+    engine = Engine(params, obs, noise)
+    encoded, expectations = engine.measure(xs)
+    return LayerTrace(xs, encoded, engine, *attend(xs, expectations, shots, rng))

@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigurationError("at least one seed is required")
         if min(self.seeds) < 0 or self.split_seed < 0:
             raise ConfigurationError("seeds and split_seed must be non-negative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {self.seeds}")
         derived = self.n_qubits * (self.enc_depth + 2)
         if self.model == "qsann":
             if self.embed_dim is None:
@@ -416,6 +418,9 @@ def cmd_noise_sweep(args) -> int:
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"noise level {p} outside [0, 1]")
+    names = [f"{p:g}" for p in p_values]  # each level's point directory is named by it
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"noise levels {args.p_list!r} share directory names {names}")
     channels = _parse_list(args.channels, str, "channel kinds")
     for kind in channels:
         if kind not in NOISE_KINDS:

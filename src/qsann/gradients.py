@@ -24,7 +24,9 @@ layers are traversed last to first so stacked models backpropagate.
 Measured quantity k (query/key Z_1, d values) weighs word s by its upstream
 gradient w_k[s]: circuit angles sweep X = sum_k rho_k U^dag E^dag(O_k) U, one
 per circuit, with rho_k = E(sum_s w_k[s] |enc_s><enc_s|); word s's encoder
-angles sweep against sum_k w_k[s] M_k.
+angles sweep against sum_k w_k[s] M_k.  The noise, the column operators,
+U^dag E^dag(O_k) U, M_k and each quantity's circuit are read from the
+``attention.Engine`` the forward kept in the layer's trace.
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ import numpy as np
 
 from . import model as model_mod
 from .ansatz import adjoint_operator_gradients, adjoint_row_gradients
-from .attention import (
-    Engine,
-    LayerTrace,
-    ObservableSet,
-    QsalLayerParams,
-    measured_quantities,
-)
+from .attention import LayerTrace
 from .model import QsannModel
 from .sim import NoiseChannel
 
@@ -83,11 +79,7 @@ def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:
 
 
 def layer_backward(
-    layer: QsalLayerParams,
-    obs: ObservableSet,
-    trace: LayerTrace,
-    g: np.ndarray,
-    noise: NoiseChannel | None = None,
+    trace: LayerTrace, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backpropagate an upstream gradient g = dL/dy through one layer.
 
@@ -96,8 +88,7 @@ def layer_backward(
     inputs (residual + value + query + key parts).
     """
     u, zq, zk = trace.inputs, trace.zq, trace.zk
-    alpha, values = trace.attention.coefficients, trace.values
-    engine = Engine(layer.n_qubits, noise)
+    alpha, values, engine = trace.attention.coefficients, trace.values, trace.engine
 
     beta = g @ values.T
     beta_bar = np.sum(alpha * beta, axis=1)
@@ -105,9 +96,8 @@ def layer_backward(
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - beta_bar[:, None])
     d_zk = attn_term.sum(axis=0)
     d_zq = -attn_term.sum(axis=1)
-    # weight of each word in each measured quantity, rows as in measured_quantities
+    # weight of each word in each measured quantity, rows as in engine.circuits
     weights = np.vstack([d_zq, d_zk, d_values.T])
-    ops = trace.operators
 
     # ENCODE_BLOCK words at a time, so that no intermediate grows with the sentence:
     # sum_s w_k[s] |enc_s><enc_s|, and each word's encoder sweep (its angles are the
@@ -117,15 +107,14 @@ def layer_backward(
         block = slice(start, start + model_mod.ENCODE_BLOCK)
         states = trace.encoded[block]
         mixed = mixed + (weights[:, block, None] * states).swapaxes(1, 2) @ states.conj()
-        duals = np.einsum("ks,kas->sa", weights[:, block], ops.effective @ states.T)
-        d_u[block] += adjoint_row_gradients(layer.enc_spec, u[block], states, duals)
+        duals = np.einsum("ks,kas->sa", weights[:, block], engine.effective @ states.T)
+        d_u[block] += adjoint_row_gradients(engine.enc_spec, u[block], states, duals)
     rhos = engine.channel(mixed)  # rho_k, the channel applied once
 
     # sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag], U the quantity's circuit
-    products = rhos @ ops.heisenberg
-    circuits, _ = measured_quantities(obs.size)
-    joints = np.stack([products[np.equal(circuits, c)].sum(axis=0) for c in range(3)])
-    d_theta = adjoint_operator_gradients(layer.qkv_spec, ops.columns, joints)
+    products = rhos @ engine.heisenberg
+    joints = np.stack([products[np.equal(engine.circuits, c)].sum(axis=0) for c in range(3)])
+    d_theta = adjoint_operator_gradients(engine.qkv_spec, engine.columns, joints)
     return d_theta[0], d_theta[1], d_theta[2], d_u
 
 
@@ -146,9 +135,7 @@ def backward(
 
     d_theta: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(model.layers)
     for layer_idx in range(len(model.layers) - 1, -1, -1):
-        dq, dk, dv, g = layer_backward(
-            model.layers[layer_idx], model.observables, traces[layer_idx], g, noise
-        )
+        dq, dk, dv, g = layer_backward(traces[layer_idx], g)
         d_theta[layer_idx] = (dq, dk, dv)
 
     d_emb = model_mod.embedding_gradient(model, ids, traces[0].inputs, g)

@@ -24,12 +24,12 @@ import numpy as np
 
 from .attention import (
     AttentionMatrix,
+    Engine,
     LayerTrace,
     ObservableSet,
     QsalLayerParams,
     attend,
     layer_forward,
-    layer_operators,
 )
 from .data import EmbeddingTable
 from .errors import ConfigurationError, EmptySequenceError
@@ -220,22 +220,22 @@ def forward_many(
 ) -> Iterator[Prediction]:
     """One prediction per token-id sequence, in order, as they are computed.
 
-    Each layer's operators are built once for the whole pass.  A first-layer
+    Each layer's ``Engine`` is built once for the whole pass.  A first-layer
     word's expectations depend only on its embedding row, so every distinct
     word of the pass is encoded and measured once, ENCODE_BLOCK rows at a
     time; each sentence then gathers its rows, samples shots and attends,
-    and deeper layers measure its outputs against their shared operators.
+    and deeper layers measure its outputs against their shared engines.
     The numbers and the rng stream are those of ``layer_traces`` run
     sentence by sentence.
     """
     checked = [model.embeddings.check_ids(sequence) for sequence in sequences]
     if not checked:
         return
-    operators = [layer_operators(layer, model.observables, noise) for layer in model.layers]
+    engines = [Engine(layer, model.observables, noise) for layer in model.layers]
     rows = model.embeddings.rows
     words, inverse = np.unique(np.concatenate(checked), return_inverse=True)
     first = np.concatenate([
-        operators[0].measure(rows[words[start : start + ENCODE_BLOCK]])[1]
+        engines[0].measure(rows[words[start : start + ENCODE_BLOCK]])[1]
         for start in range(0, words.size, ENCODE_BLOCK)
     ])
     stop = 0
@@ -243,8 +243,8 @@ def forward_many(
         start, stop = stop, stop + len(ids)
         *_, matrix, xs = attend(rows[ids], first[inverse[start:stop]], shots, rng)
         attention = [matrix]
-        for ops in operators[1:]:
-            *_, matrix, xs = attend(xs, ops.measure(xs)[1], shots, rng)
+        for engine in engines[1:]:
+            *_, matrix, xs = attend(xs, engine.measure(xs)[1], shots, rng)
             attention.append(matrix)
         yield predict(model, xs, attention)
 

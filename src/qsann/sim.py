@@ -284,20 +284,11 @@ def zero_state_batch(n_qubits: int, batch: int) -> np.ndarray:
 
 def apply_gate_batch(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     """Apply one gate to a (batch, 2**n) amplitude array."""
-    shape = (amps.shape[0],) + (2,) * n_qubits
-    a = amps.reshape(shape)
     if gate.kind == "CNOT":
-        a = _swap_on_axes(a, 1 + gate.control, 1 + gate.target)
-    elif gate.kind == "I":
-        a = a.copy()
-    else:
-        mat = (
-            _FIXED_MATRICES[gate.kind]
-            if gate.kind in _FIXED_MATRICES
-            else rotation_matrix(gate.kind, gate.angle)
-        )
-        a = _apply_2x2_on_axis(a, mat, 1 + gate.target)
-    return a.reshape(amps.shape[0], -1)
+        return apply_cnot_batch(amps, gate.control, gate.target, n_qubits)
+    shape = (amps.shape[0],) + (2,) * n_qubits
+    out = _apply_2x2_on_axis(amps.reshape(shape), gate_matrix(gate), 1 + gate.target)
+    return out.reshape(amps.shape[0], -1)
 
 
 def apply_rotation_batch(
@@ -377,14 +368,7 @@ def apply_gate_dm_batch(rhos: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarr
         t = t.reshape(batch, dim, dim)
         t = _swap_on_axes(_dm_cols(t, n_qubits), 2 + gate.control, 2 + gate.target)
         return t.reshape(batch, dim, dim)
-    if gate.kind == "I":
-        return rhos.copy()
-    mat = (
-        _FIXED_MATRICES[gate.kind]
-        if gate.kind in _FIXED_MATRICES
-        else rotation_matrix(gate.kind, gate.angle)
-    )
-    return _dm_conjugate_1q(rhos, mat, gate.target, n_qubits)
+    return _dm_conjugate_1q(rhos, gate_matrix(gate), gate.target, n_qubits)
 
 
 def apply_rotation_dm_batch(

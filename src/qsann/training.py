@@ -318,13 +318,10 @@ def train(
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start : start + config.batch_size]
                 grad_dicts = [kind.backward(train_samples[i], model, noise) for i in chunk]
-                if len(grad_dicts) == 1:
-                    grads = grad_dicts[0]
-                else:
-                    grads = {
-                        key: sum(g[key] for g in grad_dicts) / len(grad_dicts)
-                        for key in grad_dicts[0]
-                    }
+                grads = {
+                    key: sum(g[key] for g in grad_dicts) / len(grad_dicts)
+                    for key in grad_dicts[0]
+                }
                 adam_step(params, grads, adam, config.learning_rate)
         except TrainingAborted:
             _restore(params, last_good)

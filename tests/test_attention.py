@@ -466,7 +466,7 @@ class TestDensityMatrixReference:
         layer, obs, xs, noise, rng = self.case(kind, p, n)
         g = rng.normal(size=xs.shape)
         trace = layer_forward(xs, layer, obs, noise)
-        got = layer_backward(layer, obs, trace, g, noise)
+        got = layer_backward(trace, g)
         want = reference_backward(xs, layer, obs, g, noise)
         for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):
             assert np.max(np.abs(a - b)) < 1e-12, name

@@ -222,6 +222,8 @@ class TestRunConfig:
         ["noise-sweep", "--p-list", ","],
         ["noise-sweep", "--p-list", "0.1,0.1"],
         ["noise-sweep", "--p-list", "0.1,0.2,0.10"],
+        ["noise-sweep", "--p-list", "0.1,0.1000001"],
+        ["train", "--set", "seeds=[0,0]"],
         ["noise-sweep", "--channels", "depolarizing,depolarizing"],
         ["train", "--seeds", "1,01"],
     ],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, build_random_model, finite_difference
-from qsann import model as model_mod
+from qsann import attention, model as model_mod
 from qsann.ansatz import build_circuit, run_ansatz_batch
 from qsann.attention import (
     ObservableSet,
@@ -70,7 +70,7 @@ def shift_layer_backward(layer, obs, trace, g, noise=None):
     """layer_backward's four gradients by the parameter-shift rule."""
     u, zq, zk = trace.inputs, trace.zq, trace.zk
     alpha, values = trace.attention.coefficients, trace.values
-    ops = trace.operators
+    engine = trace.engine
     beta = g @ values.T
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - (alpha * beta).sum(1)[:, None])
     weights = np.vstack([-attn_term.sum(axis=1), attn_term.sum(axis=0), (alpha.T @ g).T])
@@ -89,7 +89,7 @@ def shift_layer_backward(layer, obs, trace, g, noise=None):
             d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
 
     (n_words, width), dim = u.shape, 2**layer.n_qubits
-    per_word = np.einsum("ks,kab->sab", weights, ops.effective)
+    per_word = np.einsum("ks,kab->sab", weights, engine.effective)
     enc_shifted = _gate_encoder(layer.enc_spec, _shift_rows(u).reshape(-1, width))
     enc_shifted = enc_shifted.reshape(n_words, 2 * width, dim)
     shifted_values = np.einsum(
@@ -128,7 +128,7 @@ def test_adjoint_layer_backward_matches_parameter_shift(n, enc_depth, qkv_depth,
         u = rng.uniform(-2, 2, (n_words, layer.input_dim))
         g = rng.normal(size=u.shape)
         trace = layer_forward(u, layer, obs, noise)
-        got = layer_backward(layer, obs, trace, g, noise)
+        got = layer_backward(trace, g)
         want = shift_layer_backward(layer, obs, trace, g, noise)
         for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):
             assert np.max(np.abs(a - b)) < 1e-12, (name, n_words)
@@ -216,7 +216,7 @@ class TestLayerInputGradient:
         g = rng.normal(0, 1, (3, 6))
 
         trace = layer_forward(u, layer, obs)
-        _, _, _, d_u = layer_backward(layer, obs, trace, g)
+        _, _, _, d_u = layer_backward(trace, g)
 
         h = 1e-5
         for s in range(3):
@@ -240,12 +240,29 @@ class TestLongSentences:
         u = rng.uniform(-2, 2, (200, layer.input_dim))
         g = rng.normal(size=u.shape)
         trace = layer_forward(u, layer, obs, noise)
-        blocked = layer_backward(layer, obs, trace, g, noise)
+        blocked = layer_backward(trace, g)
         monkeypatch.setattr(model_mod, "ENCODE_BLOCK", len(u))
-        whole = layer_backward(layer, obs, trace, g, noise)
+        whole = layer_backward(trace, g)
         assert np.array_equal(blocked[3], whole[3])
         for a, b in zip(blocked[:3], whole[:3]):
             assert np.max(np.abs(a - b)) < 1e-12
+
+
+class TestEngines:
+    @pytest.mark.parametrize("noise", [None, NoiseChannel("depolarizing", 0.1)])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_backward_builds_one_engine_per_layer(self, rng, monkeypatch, n_layers, noise):
+        # the backward reads each layer's engine from its trace and builds none of its own
+        built = []
+        original_init = attention.Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(attention.Engine, "__init__", counting_init)
+        backward(([1, 2, 3], 1), build_random_model(rng, n_layers=n_layers), noise)
+        assert len(built) == n_layers
 
 
 class TestOperatorMemory:

@@ -161,9 +161,9 @@ class TestForwardMany:
             unitary_calls.append(args)
             return original_unitaries(*args)
 
-        def count_prepare(self, inputs, spec):
+        def count_prepare(self, inputs):
             prepared_rows.append(len(inputs))
-            return original_prepare(self, inputs, spec)
+            return original_prepare(self, inputs)
 
         monkeypatch.setattr(attention, "ansatz_unitaries", count_unitaries)
         monkeypatch.setattr(attention.Engine, "prepare", count_prepare)
