@@ -124,6 +124,16 @@ class ObservableSet:
         """(size, 2**n, 2**n) matrices of the observables, in order."""
         return np.stack([pauli_matrix(obs) for obs in self.observables])
 
+    def under(self, noise: NoiseChannel | None) -> np.ndarray:
+        """E^dag(O) of the observables (``matrices`` if pure); the last channel's is kept."""
+        if noise is None:
+            return self.matrices
+        if self.__dict__.get("_under", (None,))[0] != noise:
+            ops = apply_channel_every_qubit(self.matrices, noise, self.n_qubits, adjoint=True)
+            ops.flags.writeable = False
+            self.__dict__["_under"] = (noise, ops)
+        return self.__dict__["_under"][1]
+
     @classmethod
     def default(cls, n_qubits: int, size: int) -> "ObservableSet":
         if size < 1:
@@ -206,11 +216,11 @@ class Engine:
         # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
         self.columns = column_operators(self.qkv_spec, thetas)
         unitaries = ansatz_unitaries(self.columns)
-        measured = self.apply(obs.matrices)
+        self.observed = obs.under(self.noise)  # E^dag(O), shared by every engine of obs
         self.circuits, observables = measured_quantities(obs.size)
         u = unitaries[self.circuits]  # each measured quantity's circuit
         # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and M of each
-        self.heisenberg = u.conj().swapaxes(-1, -2) @ measured[observables] @ u
+        self.heisenberg = u.conj().swapaxes(-1, -2) @ self.observed[observables] @ u
         self.effective = self.apply(self.heisenberg)
 
     def prepare(self, inputs: np.ndarray) -> np.ndarray:

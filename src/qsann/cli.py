@@ -254,41 +254,36 @@ def _init_model(cfg: RunConfig, vocab_size: int, seed: int):
     return kind.init(settings, vocab_size, np.random.default_rng(seed))
 
 
-def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dir: Path) -> dict:
-    """Train every seed, write per-seed artifacts, return the summary doc."""
+def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dirs: list[Path]) -> dict:
+    """Train every seed, write its artifacts into each of ``out_dirs``, return the summary doc."""
     noise = cfg.noise_channel()
     manifest = _dataset_manifest(cfg, dataset)
     per_seed = []
     any_aborted = False
     for seed in cfg.seeds:
-        seed_dir = out_dir / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
+        seed_dirs = [out_dir / f"seed_{seed}" for out_dir in out_dirs]
+        for seed_dir in seed_dirs:
+            seed_dir.mkdir(parents=True, exist_ok=True)
         model = _init_model(cfg, dataset.vocabulary.size, seed)
         started = time.perf_counter()
         result = training.train(dataset, model, cfg.train_config(seed), noise=noise)
         elapsed = time.perf_counter() - started
         lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in result.metrics)
-        checkpoint.write_atomic(seed_dir / "metrics.jsonl", lambda handle: handle.write(lines))
-        _write_json(
-            seed_dir / "timing.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "wall_time_s": elapsed,
-                "epochs_run": len(result.metrics) - 1,
-            },
-        )
-        meta = dict(manifest)
-        meta["noise_kind"] = cfg.noise_kind
-        meta["noise_p"] = cfg.noise_p
+        epochs = len(result.metrics) - 1
+        timing = {"schema_version": SCHEMA_VERSION, "wall_time_s": elapsed, "epochs_run": epochs}
+        meta = {**manifest, "noise_kind": cfg.noise_kind, "noise_p": cfg.noise_p}
         meta["train_seed"] = seed
-        checkpoint.save_checkpoint(
-            seed_dir / "checkpoint.json", result.model, dataset.vocabulary, meta
-        )
+        for seed_dir in seed_dirs:
+            checkpoint.write_atomic(seed_dir / "metrics.jsonl", lambda handle: handle.write(lines))
+            _write_json(seed_dir / "timing.json", timing)
+            checkpoint.save_checkpoint(
+                seed_dir / "checkpoint.json", result.model, dataset.vocabulary, meta
+            )
         final = result.metrics[-1]
         per_seed.append(
             {
                 "seed": seed,
-                "epochs_run": len(result.metrics) - 1,
+                "epochs_run": epochs,
                 "stopped_epoch": result.stopped_epoch,
                 "aborted": result.aborted,
                 "final_train_loss": final["train_loss"],
@@ -322,7 +317,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.to_dict())
     _write_json(out_dir / "manifest.json", _dataset_manifest(cfg, dataset))
-    summary = _run_experiment(cfg, dataset, out_dir)
+    summary = _run_experiment(cfg, dataset, [out_dir])
     _write_json(out_dir / "summary.json", summary)
     print(
         f"{cfg.model}: {summary['parameter_count']['total']} parameters, "
@@ -433,15 +428,15 @@ def cmd_noise_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.to_dict())
 
-    points = []
+    points, runs = [], {}  # a noiseless level is trained once, into every channel's directory
     for kind in channels:
         for p in p_values:
-            point_cfg = dataclasses.replace(cfg)
-            point_cfg.noise_kind = kind if p > 0 else None
-            point_cfg.noise_p = p if p > 0 else None
-            point_dir = out_dir / f"{kind}_p{p:g}"
-            point_dir.mkdir(parents=True, exist_ok=True)
-            summary = _run_experiment(point_cfg, dataset, point_dir)
+            key = (kind if p > 0 else None, p)
+            if key not in runs:
+                noise = {"noise_kind": kind, "noise_p": p} if p > 0 else {}
+                dirs = [out_dir / f"{k}_p{p:g}" for k in ([kind] if p > 0 else channels)]
+                runs[key] = _run_experiment(dataclasses.replace(cfg, **noise), dataset, dirs)
+            summary = runs[key]
             accs = [row["final_test_acc"] for row in summary["per_seed"]]
             points.append(
                 {

@@ -18,6 +18,7 @@ size 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -386,25 +387,34 @@ def apply_channel_batch(
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _superoperator(kind: str, p: float, adjoint: bool) -> np.ndarray:
+    """Read-only S[(a, b), (a', b')] = sum_K K[a', a] K*[b', b] of a channel or its adjoint."""
+    kraus = [k.conj().T if adjoint else k for k in NoiseChannel(kind, p).kraus_operators()]
+    sup = sum(np.einsum("ca,db->cdab", k, k.conj()) for k in kraus)
+    sup.flags.writeable = False
+    return sup.transpose(2, 3, 0, 1).reshape(4, 4)
+
+
 def apply_channel_every_qubit(
     ops: np.ndarray, channel: NoiseChannel, n_qubits: int, adjoint: bool = False
 ) -> np.ndarray:
     """``channel`` on every qubit of a (batch, 2**n, 2**n) operator stack.
 
     With ``adjoint``, its Heisenberg-picture adjoint A -> sum_K K^dag A K.
-    Each qubit is one contraction of its row and column axes with the
-    superoperator S[a', b', a, b] = sum_K K[a', a] K*[b', b].
+    The stack is held with each qubit's (row bit, column bit) pair adjacent;
+    qubit by qubit, 0 first, its pair is last, contracted by one ``np.dot``
+    of the (batch 4**(n-1), 4) rows with the channel's cached superoperator,
+    and a (batch, 4, X) -> (batch, X, 4) rotation brings the next pair last.
     """
-    kraus = channel.kraus_operators()
-    if adjoint:
-        kraus = [k.conj().T for k in kraus]
-    sup = sum(np.einsum("ca,db->cdab", k, k.conj()) for k in kraus)
-    batch, dim, _ = ops.shape
-    for q in range(n_qubits):
-        lo, hi = 2**q, dim >> (q + 1)
-        t = np.tensordot(ops.reshape(batch, lo, 2, hi, lo, 2, hi), sup, ([2, 5], [2, 3]))
-        ops = np.moveaxis(t, (5, 6), (2, 5)).reshape(batch, dim, dim)
-    return ops
+    sup, n = _superoperator(channel.kind, channel.p, adjoint), n_qubits
+    bits = ops.shape[:1] + (2,) * 2 * n
+    pairs = [0] + [1 + (q + 1) % n + side * n for q in range(n) for side in (0, 1)]
+    t = ops.reshape(bits).transpose(pairs)  # pairs of qubits 1, ..., n-1, 0
+    for _ in range(n):
+        t = np.dot(t.reshape(-1, 4), sup).reshape(len(ops), 4, -1).swapaxes(1, 2)
+    rows_cols = [0] + [2 * ((q - 1) % n) + side for side in (1, 2) for q in range(n)]
+    return t.reshape(bits).transpose(rows_cols).reshape(ops.shape)
 
 
 def expectation_dm_batch(

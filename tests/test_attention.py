@@ -20,6 +20,7 @@ from qsann.sim import (
     NoiseChannel,
     PauliString,
     apply_channel_batch,
+    apply_channel_every_qubit,
     apply_gate_dm_batch,
     apply_rotation_dm_batch,
     circuit_unitary,
@@ -85,6 +86,30 @@ class TestObservableSet:
 def traced(inputs, layer, **kwargs):
     obs = ObservableSet.default(layer.n_qubits, layer.input_dim)
     return layer_forward(inputs, layer, obs, **kwargs)
+
+
+class TestObservablesUnderNoise:
+    def test_each_channel_matches_a_fresh_kernel_and_is_read_only(self):
+        obs = ObservableSet.default(3, 9)
+        for channel in (
+            NoiseChannel("depolarizing", 0.1),
+            NoiseChannel("depolarizing", 0.2),
+            NoiseChannel("amplitude_damping", 0.1),
+        ):
+            held = obs.under(channel)
+            assert not held.flags.writeable
+            fresh = apply_channel_every_qubit(obs.matrices, channel, 3, adjoint=True)
+            assert np.array_equal(held, fresh)
+            assert obs.under(channel) is held
+
+    def test_engines_share_the_held_stack_and_pure_reads_the_matrices(self, rng):
+        obs = ObservableSet.default(2, 6)
+        noise = NoiseChannel("depolarizing", 0.1)
+        first = Engine(random_layer(rng), obs, noise)
+        assert Engine(random_layer(rng), obs, noise).observed is first.observed
+        assert first.observed is obs.under(noise)
+        for pure in (None, NoiseChannel("amplitude_damping", 0.0)):
+            assert Engine(random_layer(rng), obs, pure).observed is obs.matrices
 
 
 class TestQueryKey:

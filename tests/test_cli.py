@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import data, model as model_mod
+from qsann import data, model as model_mod, training
 from qsann.baselines import init_csann, init_naive
 from qsann.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from qsann.cli import RunConfig, _write_json, load_preset, main
@@ -490,6 +490,37 @@ class TestCmdNoiseSweep:
         a = (baseline_out / "seed_0" / "metrics.jsonl").read_bytes()
         b = (sweep_out / "depolarizing_p0" / "seed_0" / "metrics.jsonl").read_bytes()
         assert a == b
+
+    def test_noiseless_level_trained_once_for_every_channel(
+        self, tmp_path, toy_tsv, monkeypatch
+    ):
+        _, baseline_out = run_train(tmp_path, toy_tsv, name="base", seeds=[0, 1], epochs=2)
+        noises = []
+        original_train = training.train
+
+        def recording_train(*args, noise=None, **kwargs):
+            noises.append(noise)
+            return original_train(*args, noise=noise, **kwargs)
+
+        monkeypatch.setattr(training, "train", recording_train)
+        cfg_path = tmp_path / "sweep_both.json"
+        cfg_path.write_text(json.dumps(fast_config(toy_tsv, seeds=[0, 1], epochs=2)))
+        sweep_out = tmp_path / "sweep_both_out"
+        assert main([
+            "noise-sweep", "--config", str(cfg_path), "--out", str(sweep_out),
+            "--p-list", "0,0.1",
+        ]) == 0
+        assert noises.count(None) == 2  # once per seed, not once per channel
+        assert len(noises) == 6
+        sweep = json.loads((sweep_out / "sweep_summary.json").read_text())
+        zero_points = [p for p in sweep["points"] if p["p"] == 0]
+        assert [p["channel"] for p in zero_points] == ["depolarizing", "amplitude_damping"]
+        assert zero_points[0]["accuracies"] == zero_points[1]["accuracies"]
+        for kind in ("depolarizing", "amplitude_damping"):
+            for seed in (0, 1):
+                for name in ("metrics.jsonl", "checkpoint.json"):
+                    a = (baseline_out / f"seed_{seed}" / name).read_bytes()
+                    assert (sweep_out / f"{kind}_p0" / f"seed_{seed}" / name).read_bytes() == a
 
     def test_both_channels_and_levels_enumerated(self, tmp_path, toy_tsv):
         cfg_path = tmp_path / "sweep2.json"

@@ -282,6 +282,7 @@ class TestOperatorMemory:
         tracemalloc.start()
         try:
             model.observables.matrices  # built inside the measured span
+            model.observables.under(noise)  # E^dag(O) held with them, as the model holds it
             backward(sample, model, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -290,7 +290,7 @@ class TestNoiseChannels:
             assert np.linalg.eigvalsh(out.entries).min() >= -1e-8
 
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
-    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_qubit_kernel_matches_kraus_sums(self, rng, kind, n):
         # against the per-qubit Kraus kernel, and <E^dag(A), rho> = <A, E(rho)>
         dim = 2**n
@@ -305,6 +305,27 @@ class TestNoiseChannels:
         rho_out = apply_channel_every_qubit(rho[None], channel, n)[0]
         for a, a_adj in zip(ops, adjoint):
             assert abs(np.trace(a_adj @ rho) - np.trace(a @ rho_out)) < 1e-10
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    def test_every_qubit_kernel_bit_equal_to_tensordot_form(self, rng, kind, p, adjoint):
+        # the interleaved per-qubit dots against a tensordot per qubit over the row and
+        # column axes of the (batch, 2**q, 2, 2**(n-q-1)) x 2 view, to the bit
+        channel = NoiseChannel(kind, p)
+        kraus = channel.kraus_operators()
+        if adjoint:
+            kraus = [k.conj().T for k in kraus]
+        sup = sum(np.einsum("ca,db->cdab", k, k.conj()) for k in kraus)
+        for n in range(1, 7):
+            dim = 2**n
+            ops = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+            want = ops
+            for q in range(n):
+                lo, hi = 2**q, dim >> (q + 1)
+                t = np.tensordot(want.reshape(3, lo, 2, hi, lo, 2, hi), sup, ([2, 5], [2, 3]))
+                want = np.moveaxis(t, (5, 6), (2, 5)).reshape(3, dim, dim)
+            assert np.array_equal(apply_channel_every_qubit(ops, channel, n, adjoint), want)
 
     def test_target_required_and_in_range(self):
         rho = density_from_state(init_zero_state(1))
