@@ -69,20 +69,10 @@ class QsalLayerParams:
         return self.enc_spec.param_count
 
     @classmethod
-    def create(
-        cls,
-        n_qubits: int,
-        enc_depth: int,
-        qkv_depth: int,
-        rng: np.random.Generator | None = None,
-        std: float = 0.01,
-    ) -> "QsalLayerParams":
+    def create(cls, n_qubits: int, enc_depth: int, qkv_depth: int) -> "QsalLayerParams":
+        """A layer with all-zero angles."""
         spec = AnsatzSpec(n_qubits, qkv_depth)
-        def draw() -> ParamVector:
-            if rng is None:
-                return ParamVector.zeros(spec)
-            return ParamVector(spec, rng.normal(0.0, std, spec.param_count))
-        return cls(n_qubits, enc_depth, qkv_depth, draw(), draw(), draw())
+        return cls(n_qubits, enc_depth, qkv_depth, *(ParamVector.zeros(spec) for _ in range(3)))
 
 
 @dataclass(frozen=True)

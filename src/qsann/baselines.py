@@ -54,40 +54,26 @@ class NaiveParams:
 
 
 def init_csann(
-    vocab_size: int,
-    dim: int,
-    rng: np.random.Generator,
-    lam: float = 0.0,
-    gamma: float = 0.0,
-    std: float = 0.01,
+    vocab_size: int, dim: int, rng: np.random.Generator, lam: float = 0.0, gamma: float = 0.0
 ) -> CsannParams:
-    return CsannParams(
-        w_query=rng.normal(0.0, std, (dim, dim)),
-        w_key=rng.normal(0.0, std, (dim, dim)),
-        w_value=rng.normal(0.0, std, (dim, dim)),
-        head_w=rng.normal(0.0, std, dim),
-        head_b=np.zeros(1),
-        embeddings=EmbeddingTable.init_gaussian(vocab_size, dim, rng, std),
-        lam=lam,
-        gamma=gamma,
+    """Fresh CSANN, its parameters drawn by ``model.init_parameters``."""
+    square = [np.zeros((dim, dim)) for _ in range(3)]
+    params = CsannParams(
+        *square, np.zeros(dim), np.zeros(1), EmbeddingTable(np.zeros((vocab_size, dim))), lam, gamma
     )
+    model_mod.init_parameters(csann_param_dict(params), rng)
+    return params
 
 
 def init_naive(
-    vocab_size: int,
-    dim: int,
-    rng: np.random.Generator,
-    lam: float = 0.0,
-    gamma: float = 0.0,
-    std: float = 0.01,
+    vocab_size: int, dim: int, rng: np.random.Generator, lam: float = 0.0, gamma: float = 0.0
 ) -> NaiveParams:
-    return NaiveParams(
-        head_w=rng.normal(0.0, std, dim),
-        head_b=np.zeros(1),
-        embeddings=EmbeddingTable.init_gaussian(vocab_size, dim, rng, std),
-        lam=lam,
-        gamma=gamma,
+    """Fresh naive model, its parameters drawn by ``model.init_parameters``."""
+    params = NaiveParams(
+        np.zeros(dim), np.zeros(1), EmbeddingTable(np.zeros((vocab_size, dim))), lam, gamma
     )
+    model_mod.init_parameters(naive_param_dict(params), rng)
+    return params
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

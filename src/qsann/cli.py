@@ -27,12 +27,11 @@ import numpy as np
 
 from . import checkpoint, data, model as model_mod, training
 from .errors import ConfigurationError, ParseError, QsannError
-from .sim import NoiseChannel
+from .sim import NOISE_KINDS, NoiseChannel
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "QSANN_OUTPUT_ROOT"
 MODEL_KINDS = tuple(training.MODEL_KINDS)
-NOISE_KINDS = ("depolarizing", "amplitude_damping")
 
 
 @dataclass
@@ -331,25 +330,25 @@ def cmd_train(args) -> int:
 def _load_checkpoint_split(args) -> tuple:
     """(model, vocabulary, split, noise) of ``--checkpoint``, its dataset rebuilt and checked."""
     model, vocab, doc = checkpoint.load_checkpoint(args.checkpoint)
-    meta = doc.get("dataset") or {}
-    path = args.dataset or meta.get("source_path")
+    recipe = doc.get("dataset")
+    if not isinstance(recipe, dict):
+        raise ConfigurationError("checkpoint's dataset recipe is not an object")
+    keys = ("ratios", "split_seed", "drop_empty", "noise_kind", "noise_p")
+    missing = [key for key in keys if key not in recipe]
+    if missing:
+        raise ConfigurationError(f"checkpoint's dataset recipe lacks {missing}")
+    path = args.dataset or recipe.get("source_path")
     if not path:
         raise ConfigurationError("checkpoint records no dataset path; pass --dataset")
     if not Path(path).exists():
         raise ConfigurationError(f"dataset not found: {path}")
-    dataset = data.build_splits(
-        data.load_tsv(path),
-        meta.get("ratios", [0.8, 0.2]),
-        meta.get("split_seed", 0),
-        drop_empty=meta.get("drop_empty", True),
-    )
+    cfg = RunConfig(path, doc["model_kind"], **{key: recipe[key] for key in keys})
+    dataset = _build_dataset(cfg)
     if dataset.vocabulary.content_hash() != doc["vocab_sha256"]:
         raise ConfigurationError(
             "vocabulary hash mismatch: dataset splits do not match the checkpoint"
         )
-    kind, p = meta.get("noise_kind"), meta.get("noise_p")
-    noise = NoiseChannel(kind, p) if kind is not None and p else None
-    return model, vocab, dataset.splits[args.split], noise
+    return model, vocab, dataset.splits[args.split], cfg.noise_channel()
 
 
 def cmd_eval(args) -> int:

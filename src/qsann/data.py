@@ -124,12 +124,6 @@ class EmbeddingTable:
                 raise IndexError(f"token id {t} outside vocabulary")
         return ids
 
-    @classmethod
-    def init_gaussian(
-        cls, vocab_size: int, dim: int, rng: np.random.Generator, std: float = 0.01
-    ) -> "EmbeddingTable":
-        return cls(rng.normal(0.0, std, (vocab_size, dim)))
-
 
 @dataclass
 class LabeledSequence:

@@ -38,7 +38,7 @@ import numpy as np
 from . import model as model_mod
 from .ansatz import adjoint_operator_gradients, adjoint_row_gradients
 from .attention import LayerTrace
-from .model import QsannModel
+from .model import QsannModel, model_param_dict  # re-exported
 from .sim import NoiseChannel
 
 
@@ -50,16 +50,6 @@ class GradientBundle:
     d_w: np.ndarray
     d_b: np.ndarray
     d_embeddings: np.ndarray
-
-
-def model_param_dict(model: QsannModel) -> dict[str, np.ndarray]:
-    """Live views of all trainable arrays, keyed for the optimizer."""
-    params: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(model.layers):
-        params[f"layer{i}.theta_q"] = layer.theta_q.values
-        params[f"layer{i}.theta_k"] = layer.theta_k.values
-        params[f"layer{i}.theta_v"] = layer.theta_v.values
-    return {**params, **model_mod.head_params(model)}
 
 
 def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:

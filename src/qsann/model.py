@@ -39,6 +39,8 @@ from .sim import NoiseChannel
 ENGINE_MEMORY_BUDGET = 1 << 30
 # Distinct words encoded and measured at a time in forward_many.
 ENCODE_BLOCK = 64
+# Standard deviation of every freshly drawn parameter (see init_parameters).
+INIT_STD = 0.01
 
 
 def sigmoid(z: float) -> float:
@@ -62,8 +64,6 @@ class ModelConfig:
             raise ConfigurationError("invalid circuit geometry")
         if self.n_layers < 1:
             raise ConfigurationError("need at least one attention layer")
-        if self.lam < 0 or self.gamma < 0:
-            raise ConfigurationError("regularization coefficients must be >= 0")
         # Operators of 2**n x 2**n, counted high: each layer's trace keeps 3 (D_qkv + 2) column
         # operators and 2 per measured quantity (K = 2 + d); a layer's build or backward adds at
         # most 6 K + 12, the d shared observables fewer than K, their held E^dag(O) d more.
@@ -83,7 +83,10 @@ class ModelConfig:
 
 
 def check_head(model) -> None:
-    """Store head_w and head_b as float arrays; check them against the embedding size."""
+    """Store head_w and head_b as float arrays; check them and the lam/gamma penalties."""
+    # chained comparisons so that NaN fails them
+    if not (0 <= model.lam < np.inf and 0 <= model.gamma < np.inf):
+        raise ConfigurationError("regularization coefficients must be finite and >= 0")
     model.head_w = np.asarray(model.head_w, dtype=np.float64)
     model.head_b = np.asarray(model.head_b, dtype=np.float64)
     if model.head_w.shape != (model.embeddings.dim,) or model.head_b.shape != (1,):
@@ -135,24 +138,19 @@ class Prediction:
     attention: list[AttentionMatrix]
 
 
-def init_model(
-    config: ModelConfig, vocab_size: int, rng: np.random.Generator, std: float = 0.01
-) -> QsannModel:
-    """Fresh model: angles and weights ~ N(0, std), bias zero."""
-    layers = [
-        QsalLayerParams.create(
-            config.n_qubits, config.enc_depth, config.qkv_depth, rng, std
-        )
-        for _ in range(config.n_layers)
-    ]
-    return QsannModel(
+def init_model(config: ModelConfig, vocab_size: int, rng: np.random.Generator) -> QsannModel:
+    """Fresh model, its parameters drawn by ``init_parameters``."""
+    geometry = (config.n_qubits, config.enc_depth, config.qkv_depth)
+    model = QsannModel(
         config=config,
-        layers=layers,
-        head_w=rng.normal(0.0, std, config.embed_dim),
+        layers=[QsalLayerParams.create(*geometry) for _ in range(config.n_layers)],
+        head_w=np.zeros(config.embed_dim),
         head_b=np.zeros(1),
-        embeddings=EmbeddingTable.init_gaussian(vocab_size, config.embed_dim, rng, std),
+        embeddings=EmbeddingTable(np.zeros((vocab_size, config.embed_dim))),
         observables=ObservableSet.default(config.n_qubits, config.embed_dim),
     )
+    init_parameters(model_param_dict(model), rng)
+    return model
 
 
 def layer_traces(
@@ -209,6 +207,30 @@ def head_params(model) -> dict[str, np.ndarray]:
         "head_b": model.head_b,
         "embeddings": model.embeddings.rows,
     }
+
+
+def model_param_dict(model: QsannModel) -> dict[str, np.ndarray]:
+    """Live views of all trainable arrays, keyed for the optimizer."""
+    params: dict[str, np.ndarray] = {}
+    for i, layer in enumerate(model.layers):
+        params[f"layer{i}.theta_q"] = layer.theta_q.values
+        params[f"layer{i}.theta_k"] = layer.theta_k.values
+        params[f"layer{i}.theta_v"] = layer.theta_v.values
+    return {**params, **head_params(model)}
+
+
+def init_parameters(params: dict[str, np.ndarray], rng: np.random.Generator) -> None:
+    """Draw every array from N(0, INIT_STD) in key order, head_b set to zero.
+
+    The only code that draws parameters: each kind's initialiser and
+    ``training.train`` pass it the model's optimizer dict, so the config
+    seed alone decides a run's starting point.
+    """
+    for key, param in params.items():
+        if key == "head_b":
+            param[...] = 0.0
+        else:
+            param[...] = rng.normal(0.0, INIT_STD, param.shape)
 
 
 def forward_many(

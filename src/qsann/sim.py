@@ -34,6 +34,7 @@ FIXED_KINDS = ("H", "X", "Y", "Z", "I")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS + ("CNOT",)
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
+NOISE_KINDS = ("depolarizing", "amplitude_damping")
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 _X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -154,10 +155,6 @@ class PauliString:
         return cls(tuple(text))
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(("I",) * n_qubits)
-
-    @classmethod
     def single(cls, letter: str, qubit: int, n_qubits: int) -> "PauliString":
         if not 0 <= qubit < n_qubits:
             raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
@@ -182,7 +179,7 @@ class NoiseChannel:
     target: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("depolarizing", "amplitude_damping"):
+        if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"unknown noise channel kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"noise level p must be in [0, 1], got {self.p}")

@@ -1,9 +1,9 @@
 """Adam optimization, the table of model kinds and the training loop they share.
 
 Updates default to one sample at a time; larger batch sizes average the
-per-sample gradients before a single step.  Parameters and head weights are
-(re)initialized from N(0, std=0.01) with a zero bias, driven entirely by the
-config seed, so identical (seed, config, data) reproduce identical runs.
+per-sample gradients before a single step.  ``train`` first redraws every
+parameter with ``model.init_parameters`` from the config seed, so identical
+(seed, config, data) reproduce identical runs whatever model it is given.
 Training stops early once the relative spread of the epoch losses inside a
 trailing window drops below a tolerance, or aborts (restoring the last
 finite state) if a loss or gradient goes non-finite.
@@ -23,8 +23,6 @@ from .data import LabeledSequence
 from .errors import ConfigurationError, EmptySequenceError, TrainingAborted
 from .model import QsannModel
 from .sim import NoiseChannel
-
-INIT_STD = 0.01
 
 
 @dataclass
@@ -99,14 +97,16 @@ class ModelKind:
     """Everything that differs between the qsann, csann and naive models.
 
     The classifier head and its penalties are the same for every kind and
-    live in ``model`` (``model_mod.regularization`` and friends), not here.
+    live in ``model`` (``model_mod.regularization`` and friends), not here;
+    so does the one parameter draw: ``init`` fills zero arrays, and ``train``
+    refills them, with ``model_mod.init_parameters`` in ``params`` key order.
     Entries call through module attributes (``model_mod.forward_many``), never
     a stored function object, so wrappers installed on a module see every call.
     """
 
     name: str
     model_type: type
-    init: Callable  # (settings, vocab_size, rng) -> fresh model
+    init: Callable  # (settings, vocab_size, rng) -> fresh model, drawn by init_parameters
     settings: Callable  # model -> dict of its model_config
     set_penalties: Callable  # (model, lam, gamma) -> None
     forward: Callable  # (sequences, model, noise, shots, rng) -> Predictions, in order
@@ -148,7 +148,7 @@ MODEL_KINDS = {
             backward=lambda sample, m, noise: gradients.bundle_as_dict(
                 gradients.backward(sample, m, noise)
             ),
-            params=lambda m: gradients.model_param_dict(m),
+            params=lambda m: model_mod.model_param_dict(m),
             parameter_count=lambda m: model_mod.parameter_count(m),
         ),
         ModelKind(
@@ -191,15 +191,6 @@ def kind_of(model) -> ModelKind:
         if isinstance(model, kind.model_type):
             return kind
     raise ConfigurationError(f"unknown model kind {type(model).__name__}")
-
-
-def init_parameters(model, rng: np.random.Generator, std: float = INIT_STD) -> None:
-    """Redraw every trainable array from N(0, std); biases to zero."""
-    for key, param in kind_of(model).params(model).items():
-        if key == "head_b":
-            param[...] = 0.0
-        else:
-            param[...] = rng.normal(0.0, std, param.shape)
 
 
 def _as_samples(split) -> list[tuple[list[int], int]]:
@@ -283,8 +274,8 @@ def train(
     kind = kind_of(model)
     kind.set_penalties(model, config.lam, config.gamma)
     rng = np.random.default_rng(config.seed)
-    init_parameters(model, rng)
     params = kind.params(model)
+    model_mod.init_parameters(params, rng)
     adam = AdamState()
 
     def record(epoch: int) -> dict:
@@ -299,11 +290,9 @@ def train(
             row["test_acc"] = test_acc
         return row
 
+    stop_key = "dev_loss" if config.dev_early_stop and dev_samples else "train_loss"
     metrics = [record(0)]
-    stop_losses = [
-        metrics[0]["dev_loss"] if config.dev_early_stop and dev_samples
-        else metrics[0]["train_loss"]
-    ]
+    stop_losses = [metrics[0][stop_key]]
     last_good = _snapshot(params)
     aborted = False
     stopped_epoch = None
@@ -323,24 +312,17 @@ def train(
                     for key in grad_dicts[0]
                 }
                 adam_step(params, grads, adam, config.learning_rate)
+            metrics.append(record(epoch))
+            if not np.isfinite(metrics[-1]["train_loss"]):
+                raise TrainingAborted("non-finite training loss")
         except TrainingAborted:
             _restore(params, last_good)
             aborted = True
             stopped_epoch = epoch
             break
 
-        row = record(epoch)
-        metrics.append(row)
-        if not np.isfinite(row["train_loss"]):
-            _restore(params, last_good)
-            aborted = True
-            stopped_epoch = epoch
-            break
         last_good = _snapshot(params)
-        stop_losses.append(
-            row["dev_loss"] if config.dev_early_stop and dev_samples
-            else row["train_loss"]
-        )
+        stop_losses.append(metrics[-1][stop_key])
         if _window_converged(stop_losses, config.stop_window, config.stop_tol):
             stopped_epoch = epoch
             break

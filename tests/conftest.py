@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qsann import gradients, model as model_mod
+from qsann.ansatz import AnsatzSpec, ParamVector
+from qsann.attention import QsalLayerParams
 
 
 def build_random_model(
@@ -21,6 +23,13 @@ def build_random_model(
     for key, arr in gradients.model_param_dict(model).items():
         arr[...] = rng.normal(0.0, scale, arr.shape)
     return model
+
+
+def random_layer(rng, n=2, enc_depth=1, qkv_depth=1, std=0.5):
+    """Layer whose query, key and value angles are drawn from N(0, std), in that order."""
+    spec = AnsatzSpec(n, qkv_depth)
+    angles = (ParamVector(spec, rng.normal(0.0, std, spec.param_count)) for _ in range(3))
+    return QsalLayerParams(n, enc_depth, qkv_depth, *angles)
 
 
 def finite_difference(loss_fn, params: dict, h=1e-5) -> dict:

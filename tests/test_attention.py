@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from conftest import random_layer
 from qsann.ansatz import AnsatzSpec, ParamVector, build_circuit
 from qsann.attention import (
     AttentionMatrix,
@@ -33,10 +34,6 @@ from qsann.sim import (
 
 def zero_layer(n=2, enc_depth=1, qkv_depth=1):
     return QsalLayerParams.create(n, enc_depth, qkv_depth)
-
-
-def random_layer(rng, n=2, enc_depth=1, qkv_depth=1):
-    return QsalLayerParams.create(n, enc_depth, qkv_depth, rng=rng, std=0.5)
 
 
 class TestLayerParams:
@@ -471,7 +468,7 @@ NOISE_GRID = [
 class TestDensityMatrixReference:
     def case(self, kind, p, n):
         rng = np.random.default_rng(int(1000 * p) + 10 * n + len(kind))
-        layer = QsalLayerParams.create(n, 1, 1, rng=rng, std=0.8)
+        layer = random_layer(rng, n, 1, 1, std=0.8)
         obs = ObservableSet.default(n, layer.input_dim)
         xs = rng.uniform(-2, 2, (3, layer.input_dim))
         return layer, obs, xs, NoiseChannel(kind, p), rng

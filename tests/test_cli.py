@@ -468,6 +468,65 @@ class TestCmdAttention:
         assert [float(v) for v in rows[1]] == [1.0]
 
 
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory, toy_tsv):
+    """A one-epoch, one-seed qsann checkpoint trained on the toy corpus."""
+    root = tmp_path_factory.mktemp("ckpt_src")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(fast_config(toy_tsv, seeds=[0], epochs=1)))
+    assert main(["train", "--config", str(cfg_path), "--out", str(root / "run")]) == 0
+    return root / "run" / "seed_0" / "checkpoint.json"
+
+
+MALFORMED_RECIPES = {
+    "list": lambda recipe: sorted(recipe),
+    "ratios-string": lambda recipe: {**recipe, "ratios": "ab"},
+    "split-seed-string": lambda recipe: {**recipe, "split_seed": "x"},
+    "split-seed-negative": lambda recipe: {**recipe, "split_seed": -1},
+    "noise-p-string": lambda recipe: {**recipe, "noise_kind": "depolarizing", "noise_p": "x"},
+    "no-ratios": lambda recipe: {k: v for k, v in recipe.items() if k != "ratios"},
+}
+
+
+class TestCheckpointRecipe:
+    def run(self, command, path, tmp_path, capsys):
+        extra = ["--indices", "0", "--out", str(tmp_path / "csv")] if command == "attention" else []
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(path)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "attention"])
+    @pytest.mark.parametrize("recipe", sorted(MALFORMED_RECIPES))
+    def test_malformed_recipe_exit_two(self, tmp_path, toy_checkpoint, capsys, command, recipe):
+        # the split and the noise are rebuilt through RunConfig's checks; no key has a default
+        doc = json.loads(toy_checkpoint.read_text())
+        doc["dataset"] = MALFORMED_RECIPES[recipe](doc["dataset"])
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        self.run(command, path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "attention"])
+    @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
+    @pytest.mark.parametrize("key,value", [("lam", float("nan")), ("gamma", float("inf")),
+                                           ("lam", -0.1), ("lam", "x")])
+    def test_bad_penalty_exit_two(self, rng, tmp_path, toy_checkpoint, capsys,
+                                  command, kind, key, value):
+        settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 1,
+                    "lam": 0.0, "gamma": 0.0, "dim": 6}
+        trained = json.loads(toy_checkpoint.read_text())
+        vocab = data.Vocabulary(trained["vocabulary"])
+        path = tmp_path / "ckpt.json"
+        model = training.MODEL_KINDS[kind].init(settings, vocab.size, rng)
+        save_checkpoint(path, model, vocab, trained["dataset"])
+        doc = json.loads(path.read_text())
+        doc["model_config"][key] = value
+        path.write_text(json.dumps(doc))
+        self.run(command, path, tmp_path, capsys)
+
+
 class TestCmdNoiseSweep:
     def test_zero_noise_matches_noiseless_run(self, tmp_path, toy_tsv):
         _, baseline_out = run_train(tmp_path, toy_tsv, name="sweep_base", seeds=[0], epochs=2)

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, build_random_model, finite_difference
+from conftest import assert_grad_close, build_random_model, finite_difference, random_layer
 from qsann import attention, model as model_mod
 from qsann.ansatz import build_circuit, run_ansatz_batch
 from qsann.attention import (
     ObservableSet,
-    QsalLayerParams,
     layer_forward,
     measured_quantities,
 )
+from qsann.data import EmbeddingTable
 from qsann.errors import ConfigurationError, EmptySequenceError
 from qsann.gradients import (
     backward,
@@ -122,7 +122,7 @@ GEOMETRIES = [
 @pytest.mark.parametrize("n,enc_depth,qkv_depth", GEOMETRIES)
 def test_adjoint_layer_backward_matches_parameter_shift(n, enc_depth, qkv_depth, noise):
     rng = np.random.default_rng(100 * n + 10 * enc_depth + qkv_depth)
-    layer = QsalLayerParams.create(n, enc_depth, qkv_depth, rng=rng, std=0.8)
+    layer = random_layer(rng, n, enc_depth, qkv_depth, std=0.8)
     obs = ObservableSet.default(n, layer.input_dim)
     for n_words in (1, 3, 12):
         u = rng.uniform(-2, 2, (n_words, layer.input_dim))
@@ -210,7 +210,7 @@ class TestSinglePosition:
 class TestLayerInputGradient:
     def test_four_term_decomposition_matches_fd(self, rng):
         # phi(u) = sum(g * layer_forward(u)) probed by finite differences
-        layer = QsalLayerParams.create(2, 1, 1, rng=rng, std=0.5)
+        layer = random_layer(rng, 2, 1, 1, std=0.5)
         obs = ObservableSet.default(2, 6)
         u = rng.uniform(-1, 1, (3, 6))
         g = rng.normal(0, 1, (3, 6))
@@ -235,7 +235,7 @@ class TestLongSentences:
     def test_blocked_sweeps_match_one_block(self, rng, monkeypatch, noise):
         # ENCODE_BLOCK words at a time: the layer-input gradient is the same to the
         # bit, the circuit gradients up to the order in which the blocks are summed
-        layer = QsalLayerParams.create(4, 1, 1, rng=rng, std=0.8)
+        layer = random_layer(rng, 4, 1, 1, std=0.8)
         obs = ObservableSet.default(4, layer.input_dim)
         u = rng.uniform(-2, 2, (200, layer.input_dim))
         g = rng.normal(size=u.shape)
@@ -277,7 +277,13 @@ class TestOperatorMemory:
     def test_geometry_check_counts_no_less_than_a_backward_holds(
         self, rng, monkeypatch, geometry, noise
     ):
-        model = model_mod.init_model(model_mod.ModelConfig(*geometry), 8, rng, std=0.5)
+        cfg = model_mod.ModelConfig(*geometry)
+        d = cfg.embed_dim
+        layers = [random_layer(rng, *geometry[:3]) for _ in range(cfg.n_layers)]
+        model = model_mod.QsannModel(
+            cfg, layers, rng.normal(0.0, 0.5, d), np.zeros(1),
+            EmbeddingTable(rng.normal(0.0, 0.5, (8, d))), ObservableSet.default(geometry[0], d),
+        )
         sample = (list(rng.integers(0, 8, 6)), 1)
         tracemalloc.start()
         try:

@@ -23,8 +23,16 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ModelConfig(2, 1, 1, 0)
-        with pytest.raises(ConfigurationError):
-            ModelConfig(2, 1, 1, 1, lam=-0.1)
+
+    @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
+    @pytest.mark.parametrize("lam,gamma", [
+        (-0.1, 0.0), (0.0, -0.1), (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf),
+    ])
+    def test_penalties_checked_when_a_model_is_built(self, rng, kind, lam, gamma):
+        settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 1,
+                    "lam": lam, "gamma": gamma, "dim": 4}
+        with pytest.raises(ConfigurationError, match="regularization"):
+            training.MODEL_KINDS[kind].init(settings, 5, rng)
 
 
 class TestForward:
@@ -276,3 +284,16 @@ class TestModelValidation:
         assert len(model.layers) == 2
         assert model.embeddings.rows.shape == (9, 6)
         assert model.head_b[0] == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
+    def test_every_kind_draws_its_arrays_in_key_order(self, kind):
+        # one initialiser: N(0, INIT_STD) in the optimizer dict's key order, head_b zero
+        settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 2,
+                    "lam": 0.0, "gamma": 0.0, "dim": 5}
+        entry = training.MODEL_KINDS[kind]
+        params = entry.params(entry.init(settings, 9, np.random.default_rng(4)))
+        rng = np.random.default_rng(4)
+        for key, arr in params.items():
+            expected = np.zeros(1) if key == "head_b" else rng.normal(0.0, 0.01, arr.shape)
+            assert np.array_equal(arr, expected), key
+        assert model_mod.INIT_STD == 0.01

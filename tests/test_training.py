@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import ansatz, data, gradients, model as model_mod, sim
+from qsann import ansatz, data, gradients, model as model_mod, sim, training
 from qsann.errors import ConfigurationError, EmptySequenceError, TrainingAborted
 from qsann.sim import NoiseChannel
-from qsann.training import AdamState, TrainConfig, adam_step, evaluate, train
+from qsann.training import MODEL_KINDS, AdamState, TrainConfig, adam_step, evaluate, train
 
 
 def toy_dataset(seed=0, n_samples=40, ratios=(0.7, 0.3)):
@@ -172,6 +172,28 @@ class TestTrainLoop:
         assert result.aborted
         assert np.all(np.isfinite(model.head_w))  # restored to the last good state
 
+    def test_abort_on_non_finite_loss_restores_last_good_state(self, monkeypatch):
+        ds = toy_dataset()
+        model = model_mod.init_model(
+            model_mod.ModelConfig(2, 1, 1, 1), ds.vocabulary.size, np.random.default_rng(0)
+        )
+        calls = {"n": 0}
+        original = model_mod.regularization
+
+        def poisoned(mdl, batch):
+            calls["n"] += 1  # epoch 0 evaluates train and test; epoch 1's train pass is third
+            return np.inf if calls["n"] >= 3 else original(mdl, batch)
+
+        monkeypatch.setattr(model_mod, "regularization", poisoned)
+        result = train(ds, model, TrainConfig(learning_rate=0.01, epochs=4, seed=2))
+        assert result.aborted and result.stopped_epoch == 1
+        assert [row["epoch"] for row in result.metrics] == [0, 1]
+        assert result.metrics[1]["train_loss"] == np.inf
+        start = {key: np.zeros_like(arr) for key, arr in model_mod.model_param_dict(model).items()}
+        model_mod.init_parameters(start, np.random.default_rng(2))
+        for key, arr in model_mod.model_param_dict(model).items():
+            assert np.array_equal(arr, start[key])
+
     def test_early_stop_on_flat_loss(self, monkeypatch):
         ds = toy_dataset()
         model = model_mod.init_model(
@@ -196,6 +218,20 @@ class TestTrainLoop:
         result = train(ds, model, tc)
         assert result.stopped_epoch is not None
 
+    @pytest.mark.parametrize("dev_early_stop,key", [(True, "dev_loss"), (False, "train_loss")])
+    def test_stop_window_reads_the_chosen_loss(self, monkeypatch, dev_early_stop, key):
+        windows = []
+        monkeypatch.setattr(
+            training, "_window_converged", lambda losses, *_: windows.append(list(losses))
+        )
+        ds = toy_dataset(ratios=(0.6, 0.2, 0.2))
+        model = model_mod.init_model(
+            model_mod.ModelConfig(2, 1, 1, 1), ds.vocabulary.size, np.random.default_rng(0)
+        )
+        tc = TrainConfig(learning_rate=0.01, epochs=2, seed=0, dev_early_stop=dev_early_stop)
+        result = train(ds, model, tc)
+        assert windows[-1] == [row[key] for row in result.metrics]
+
     def test_empty_training_set(self, rng):
         ds = toy_dataset()
         ds.train.clear()
@@ -210,6 +246,23 @@ class TestTrainLoop:
         )
         result = train(ds, model, TrainConfig(learning_rate=0.01, epochs=2, seed=0, batch_size=8))
         assert len(result.metrics) == 3
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_training_start_depends_only_on_the_config_seed(kind):
+    # train redraws every parameter from TrainConfig.seed, so the rng a model was built
+    # with leaves no trace in the metrics
+    ds = toy_dataset(n_samples=20)
+    settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 1,
+                "lam": 0.1, "gamma": 0.2, "dim": 6}
+    models = [
+        MODEL_KINDS[kind].init(settings, ds.vocabulary.size, np.random.default_rng(seed))
+        for seed in (0, 1)
+    ]
+    assert not np.array_equal(models[0].head_w, models[1].head_w)
+    config = TrainConfig(learning_rate=0.01, epochs=2, lam=0.1, gamma=0.2, seed=3)
+    first, second = (json.dumps(train(ds, m, config).metrics, sort_keys=True) for m in models)
+    assert first == second
 
 
 @pytest.mark.parametrize(
