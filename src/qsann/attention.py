@@ -17,12 +17,13 @@ the tests hold it to.
 A layer forward has two parts.  ``Engine(params, obs, noise)`` is the layer
 itself, built once per parameter setting: the noise, the circuits' column
 operators, U^dag E^dag(O) U and the effective observables, against which
-``Engine.measure`` measures each input row on its own.  ``attend`` is one
-sentence's step from those expectations: shot sampling, attention
-coefficients and the residual.  ``layer_forward`` composes the two per
-sentence and keeps the engine in its ``LayerTrace``, from which the backward
-pass reads everything it needs; ``model.forward_many`` shares one engine per
-layer across a whole pass.
+``Engine.measure`` measures each input row on its own.  ``attend`` is the
+step from those expectations for a stack of same-length sentences: shot
+sampling, attention coefficients and the residual.  ``layer_forward``
+composes the two for one sentence and keeps the engine in its
+``LayerTrace``, from which the backward pass reads everything it needs;
+``model.forward_many`` shares one engine per layer across a whole pass and
+attends its sentences a length group at a time.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ class QsalLayerParams:
         for name in ("theta_q", "theta_k", "theta_v"):
             vec = getattr(self, name)
             if vec.spec != expected:
-                raise ConfigurationError(
-                    f"{name} sized for {vec.spec}, expected {expected}"
-                )
+                raise ConfigurationError(f"{name} sized for {vec.spec}, expected {expected}")
 
     @property
     def enc_spec(self) -> AnsatzSpec:
@@ -91,15 +90,11 @@ class ObservableSet:
         if not self.observables:
             raise ConfigurationError("ObservableSet must not be empty")
         n = self.observables[0].n_qubits
-        for obs in self.observables:
-            if obs.n_qubits != n:
-                raise ConfigurationError("observables act on differing qubit counts")
-        expected = _single_pauli_sequence(n)
-        head = self.observables[: min(len(self.observables), 3 * n)]
-        if list(head) != expected[: len(head)]:
-            raise ConfigurationError(
-                "first min(d, 3n) observables must be Z, X, Y singles in order"
-            )
+        if any(obs.n_qubits != n for obs in self.observables):
+            raise ConfigurationError("observables act on differing qubit counts")
+        head = list(self.observables[: 3 * n])
+        if head != _single_pauli_sequence(n)[: len(head)]:
+            raise ConfigurationError("the first min(d, 3n) observables must be Z, X, Y singles")
 
     @property
     def n_qubits(self) -> int:
@@ -111,8 +106,10 @@ class ObservableSet:
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
-        """(size, 2**n, 2**n) matrices of the observables, in order."""
-        return np.stack([pauli_matrix(obs) for obs in self.observables])
+        """(size, 2**n, 2**n) matrices of the observables, in order, read-only."""
+        matrices = np.stack([pauli_matrix(obs) for obs in self.observables])
+        matrices.flags.writeable = False
+        return matrices
 
     def under(self, noise: NoiseChannel | None) -> np.ndarray:
         """E^dag(O) of the observables (``matrices`` if pure); the last channel's is kept."""
@@ -125,6 +122,7 @@ class ObservableSet:
         return self.__dict__["_under"][1]
 
     @classmethod
+    @functools.lru_cache(maxsize=16)  # one set per geometry, its matrices and E^dag(O) shared
     def default(cls, n_qubits: int, size: int) -> "ObservableSet":
         if size < 1:
             raise ConfigurationError("observable count must be positive")
@@ -149,11 +147,7 @@ class ObservableSet:
 
 
 def _single_pauli_sequence(n_qubits: int) -> list[PauliString]:
-    return [
-        PauliString.single(letter, q, n_qubits)
-        for letter in ("Z", "X", "Y")
-        for q in range(n_qubits)
-    ]
+    return [PauliString.single(letter, q, n_qubits) for letter in "ZXY" for q in range(n_qubits)]
 
 
 @dataclass(frozen=True)
@@ -274,6 +268,22 @@ def _maybe_sample(values: np.ndarray, shots, rng) -> np.ndarray:
     return 2.0 * rng.binomial(shots, p_plus) / shots - 1.0
 
 
+def _gaussian(zq: np.ndarray, zk: np.ndarray) -> np.ndarray:
+    """(..., S, S) Gaussian coefficients of (..., S) projections, each row normalised."""
+    raw = np.exp(-((zq[..., :, None] - zk[..., None, :]) ** 2))
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _matrices(coefficients: np.ndarray) -> list[AttentionMatrix]:
+    """One AttentionMatrix per (S, S) block of (B, S, S) normalised coefficients."""
+    if not coefficients.min() > 0.0:  # underflow far outside [-1, 1]: the checks refuse it
+        return [AttentionMatrix(block) for block in coefficients]
+    matrices = [object.__new__(AttentionMatrix) for _ in coefficients]
+    for matrix, block in zip(matrices, coefficients):  # rows sum to 1: entries in (0, 1]
+        object.__setattr__(matrix, "coefficients", block)
+    return matrices
+
+
 def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
     """Gaussian attention matrix from query/key projections, row-normalized."""
     zq = np.asarray(zq, dtype=np.float64)
@@ -282,13 +292,7 @@ def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
         raise ConfigurationError("query and key projections must be equal-length vectors")
     if zq.shape[0] == 0:
         raise EmptySequenceError("attention needs at least one position")
-    raw = np.exp(-((zq[:, None] - zk[None, :]) ** 2))
-    coefficients = raw / raw.sum(axis=1, keepdims=True)
-    if not coefficients.min() > 0.0:  # underflow far outside [-1, 1]: the checks refuse it
-        return AttentionMatrix(coefficients)
-    matrix = object.__new__(AttentionMatrix)  # rows sum to 1, so entries lie in (0, 1]
-    object.__setattr__(matrix, "coefficients", coefficients)
-    return matrix
+    return _matrices(_gaussian(zq[None], zk[None]))[0]
 
 
 def measured_quantities(size: int) -> tuple[list[int], list[int]]:
@@ -320,15 +324,16 @@ def attend(
     expectations: np.ndarray,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, AttentionMatrix, np.ndarray]:
-    """(zq, zk, values, attention, outputs) of one sentence from its (S, 2 + d)
-    expectations: shots sampled for zq, then zk, then the values, and the
-    residual y_s = x_s + sum_j coeff[s, j] * o_j."""
-    zq = _maybe_sample(expectations[:, 0], shots, rng)
-    zk = _maybe_sample(expectations[:, 1], shots, rng)
-    values = _maybe_sample(expectations[:, 2:], shots, rng)
-    attention = gpqsa_coefficients(zq, zk)
-    return zq, zk, values, attention, xs + attention.coefficients @ values
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[AttentionMatrix], np.ndarray]:
+    """(zq, zk, values, attention, outputs) of B sentences of S words from their
+    (B, S, d) inputs and (B, S, 2 + d) expectations: shots sampled for every zq,
+    then zk, then the values, one AttentionMatrix per sentence, and the residual
+    y_s = x_s + sum_j coeff[s, j] * o_j as one batched matrix product."""
+    zq = _maybe_sample(expectations[..., 0], shots, rng)
+    zk = _maybe_sample(expectations[..., 1], shots, rng)
+    values = _maybe_sample(expectations[..., 2:], shots, rng)
+    coefficients = _gaussian(zq, zk)
+    return zq, zk, values, _matrices(coefficients), xs + coefficients @ values
 
 
 def layer_forward(
@@ -344,4 +349,5 @@ def layer_forward(
     xs = _check_inputs(inputs, params)
     engine = Engine(params, obs, noise)
     encoded, expectations = engine.measure(xs)
-    return LayerTrace(xs, encoded, engine, *attend(xs, expectations, shots, rng))
+    zq, zk, values, (attention,), outputs = attend(xs[None], expectations[None], shots, rng)
+    return LayerTrace(xs, encoded, engine, zq[0], zk[0], values[0], attention, outputs[0])

@@ -54,25 +54,29 @@ class NaiveParams:
 
 
 def init_csann(
-    vocab_size: int, dim: int, rng: np.random.Generator, lam: float = 0.0, gamma: float = 0.0
+    vocab_size: int, dim: int, rng: np.random.Generator | None, lam: float = 0.0,
+    gamma: float = 0.0,
 ) -> CsannParams:
-    """Fresh CSANN, its parameters drawn by ``model.init_parameters``."""
+    """Fresh CSANN, its parameters drawn by ``model.init_parameters`` (zero if rng is None)."""
     square = [np.zeros((dim, dim)) for _ in range(3)]
     params = CsannParams(
         *square, np.zeros(dim), np.zeros(1), EmbeddingTable(np.zeros((vocab_size, dim))), lam, gamma
     )
-    model_mod.init_parameters(csann_param_dict(params), rng)
+    if rng is not None:
+        model_mod.init_parameters(csann_param_dict(params), rng)
     return params
 
 
 def init_naive(
-    vocab_size: int, dim: int, rng: np.random.Generator, lam: float = 0.0, gamma: float = 0.0
+    vocab_size: int, dim: int, rng: np.random.Generator | None, lam: float = 0.0,
+    gamma: float = 0.0,
 ) -> NaiveParams:
-    """Fresh naive model, its parameters drawn by ``model.init_parameters``."""
+    """Fresh naive model, drawn by ``model.init_parameters`` (zero if rng is None)."""
     params = NaiveParams(
         np.zeros(dim), np.zeros(1), EmbeddingTable(np.zeros((vocab_size, dim))), lam, gamma
     )
-    model_mod.init_parameters(naive_param_dict(params), rng)
+    if rng is not None:
+        model_mod.init_parameters(naive_param_dict(params), rng)
     return params
 
 
@@ -94,12 +98,12 @@ def _csann_intermediates(ids, params: CsannParams):
 def csann_forward(sequence, params: CsannParams) -> Prediction:
     ids = params.embeddings.check_ids(sequence)
     *_, attn, ys = _csann_intermediates(ids, params)
-    return model_mod.predict(params, ys, [AttentionMatrix(attn)])
+    return model_mod.predict(params, ys.mean(axis=0), [AttentionMatrix(attn)])
 
 
 def naive_forward(sequence, params: NaiveParams) -> Prediction:
     ids = params.embeddings.check_ids(sequence)
-    return model_mod.predict(params, params.embeddings.rows[ids], [])
+    return model_mod.predict(params, params.embeddings.rows[ids].mean(axis=0), [])
 
 
 def csann_backward(sample, params: CsannParams) -> dict[str, np.ndarray]:

@@ -83,10 +83,11 @@ def _build_model(doc: dict):
     vocabulary = Vocabulary(list(doc["vocabulary"]))
     if vocabulary.content_hash() != doc["vocab_sha256"]:
         raise ParseError("vocab_sha256 does not match the stored vocabulary")
-    model = kind.init(doc["model_config"], vocabulary.size, np.random.default_rng(0))
+    model = kind.init(doc["model_config"], vocabulary.size, None)  # zero arrays, filled below
     if "observables" in doc:
         observables = tuple(PauliString.from_str(text) for text in doc["observables"])
-        model = dataclasses.replace(model, observables=ObservableSet(observables))
+        if observables != model.observables.observables:  # else keep the shared default set
+            model = dataclasses.replace(model, observables=ObservableSet(observables))
     params = kind.params(model)
     if set(doc["params"]) != set(params):
         raise ParseError(

@@ -222,6 +222,8 @@ def _resolve_out_dir(args, config_hint: str) -> Path:
 
 
 def _build_dataset(cfg: RunConfig) -> data.Dataset:
+    if not Path(cfg.dataset_path).exists():
+        raise ConfigurationError(f"dataset not found: {cfg.dataset_path}")
     samples = data.load_tsv(cfg.dataset_path)
     return data.build_splits(
         samples, cfg.ratios, cfg.split_seed, drop_empty=cfg.drop_empty
@@ -247,15 +249,10 @@ def _dataset_manifest(cfg: RunConfig, dataset: data.Dataset) -> dict:
     }
 
 
-def _init_model(cfg: RunConfig, vocab_size: int, seed: int):
-    settings = {**cfg.to_dict(), "dim": cfg.embed_dim}
-    kind = training.MODEL_KINDS[cfg.model]
-    return kind.init(settings, vocab_size, np.random.default_rng(seed))
-
-
 def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dirs: list[Path]) -> dict:
     """Train every seed, write its artifacts into each of ``out_dirs``, return the summary doc."""
     noise = cfg.noise_channel()
+    kind = training.MODEL_KINDS[cfg.model]
     manifest = _dataset_manifest(cfg, dataset)
     per_seed = []
     any_aborted = False
@@ -263,7 +260,8 @@ def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dirs: list[Path])
         seed_dirs = [out_dir / f"seed_{seed}" for out_dir in out_dirs]
         for seed_dir in seed_dirs:
             seed_dir.mkdir(parents=True, exist_ok=True)
-        model = _init_model(cfg, dataset.vocabulary.size, seed)
+        # zero arrays: train draws every parameter from the seed
+        model = kind.init({**cfg.to_dict(), "dim": cfg.embed_dim}, dataset.vocabulary.size, None)
         started = time.perf_counter()
         result = training.train(dataset, model, cfg.train_config(seed), noise=noise)
         elapsed = time.perf_counter() - started
@@ -292,7 +290,7 @@ def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dirs: list[Path])
         )
         any_aborted = any_aborted or result.aborted
     test_accs = [row["final_test_acc"] for row in per_seed if row["final_test_acc"] is not None]
-    qkv, head, total = training.MODEL_KINDS[cfg.model].parameter_count(model)
+    qkv, head, total = kind.parameter_count(model)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "model": cfg.model,
@@ -310,8 +308,6 @@ def cmd_train(args) -> int:
     cfg = RunConfig.from_dict(_load_config_sources(args))
     hint = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _resolve_out_dir(args, f"{hint}_{cfg.model}")
-    if not Path(cfg.dataset_path).exists():
-        raise ConfigurationError(f"dataset not found: {cfg.dataset_path}")
     dataset = _build_dataset(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.to_dict())
@@ -340,8 +336,6 @@ def _load_checkpoint_split(args) -> tuple:
     path = args.dataset or recipe.get("source_path")
     if not path:
         raise ConfigurationError("checkpoint records no dataset path; pass --dataset")
-    if not Path(path).exists():
-        raise ConfigurationError(f"dataset not found: {path}")
     cfg = RunConfig(path, doc["model_kind"], **{key: recipe[key] for key in keys})
     dataset = _build_dataset(cfg)
     if dataset.vocabulary.content_hash() != doc["vocab_sha256"]:
@@ -421,8 +415,6 @@ def cmd_noise_sweep(args) -> int:
             raise ConfigurationError(f"noise channel must be one of {NOISE_KINDS}")
     hint = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _resolve_out_dir(args, f"{hint}_noise_sweep")
-    if not Path(cfg.dataset_path).exists():
-        raise ConfigurationError(f"dataset not found: {cfg.dataset_path}")
     dataset = _build_dataset(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.to_dict())

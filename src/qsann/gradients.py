@@ -53,15 +53,12 @@ class GradientBundle:
 
 
 def bundle_as_dict(bundle: GradientBundle) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    for i, (dq, dk, dv) in enumerate(bundle.d_theta):
-        grads[f"layer{i}.theta_q"] = dq
-        grads[f"layer{i}.theta_k"] = dk
-        grads[f"layer{i}.theta_v"] = dv
-    grads["head_w"] = bundle.d_w
-    grads["head_b"] = bundle.d_b
-    grads["embeddings"] = bundle.d_embeddings
-    return grads
+    grads = {
+        f"layer{i}.theta_{c}": grad
+        for i, layer in enumerate(bundle.d_theta)
+        for c, grad in zip("qkv", layer)
+    }
+    return {**grads, "head_w": bundle.d_w, "head_b": bundle.d_b, "embeddings": bundle.d_embeddings}
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ the head weights and one on the sequence's embedding vectors (batch-averaged
 so the total is invariant to batch size).
 
 Predictions come from ``forward_many``, which evaluates a pass of sentences
-in vocabulary space (``forward`` is its one-sentence case); ``layer_traces``
-keeps each layer's trace for the backward pass.
+in vocabulary space and attends them a length group at a time (``forward``
+is its one-sentence case); ``layer_traces`` keeps each layer's trace for the
+backward pass.
 
 This head, its penalties and their gradients are defined here once for every
 model kind: the functions below take any model with ``head_w``, ``head_b``,
@@ -17,6 +18,8 @@ model kind: the functions below take any model with ``head_w``, ``head_b``,
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,8 +40,10 @@ from .sim import NoiseChannel
 
 # Memory the attention engine's operator stacks may take (see ModelConfig).
 ENGINE_MEMORY_BUDGET = 1 << 30
-# Distinct words encoded and measured at a time in forward_many.
+# Rows encoded and measured at a time in forward_many.
 ENCODE_BLOCK = 64
+# Tokens of the consecutive sentences that forward_many and regularization batch together.
+WINDOW_TOKENS = 2048
 # Standard deviation of every freshly drawn parameter (see init_parameters).
 INIT_STD = 0.01
 
@@ -84,8 +89,8 @@ class ModelConfig:
 
 def check_head(model) -> None:
     """Store head_w and head_b as float arrays; check them and the lam/gamma penalties."""
-    # chained comparisons so that NaN fails them
-    if not (0 <= model.lam < np.inf and 0 <= model.gamma < np.inf):
+    # real numbers only, and chained comparisons so that NaN fails them
+    if not all(isinstance(x, numbers.Real) and 0 <= x < np.inf for x in (model.lam, model.gamma)):
         raise ConfigurationError("regularization coefficients must be finite and >= 0")
     model.head_w = np.asarray(model.head_w, dtype=np.float64)
     model.head_b = np.asarray(model.head_b, dtype=np.float64)
@@ -109,13 +114,9 @@ class QsannModel:
         cfg = self.config
         if len(self.layers) != cfg.n_layers:
             raise ConfigurationError("layer count disagrees with config")
-        for layer in self.layers:
-            if (layer.n_qubits, layer.enc_depth, layer.qkv_depth) != (
-                cfg.n_qubits,
-                cfg.enc_depth,
-                cfg.qkv_depth,
-            ):
-                raise ConfigurationError("layer geometry disagrees with config")
+        geometry = (cfg.n_qubits, cfg.enc_depth, cfg.qkv_depth)
+        if any((p.n_qubits, p.enc_depth, p.qkv_depth) != geometry for p in self.layers):
+            raise ConfigurationError("layer geometry disagrees with config")
         if self.embeddings.dim != cfg.embed_dim:
             raise ConfigurationError("embedding dimension disagrees with config")
         check_head(self)
@@ -138,8 +139,8 @@ class Prediction:
     attention: list[AttentionMatrix]
 
 
-def init_model(config: ModelConfig, vocab_size: int, rng: np.random.Generator) -> QsannModel:
-    """Fresh model, its parameters drawn by ``init_parameters``."""
+def init_model(config: ModelConfig, vocab_size: int, rng: np.random.Generator | None):
+    """Fresh model, its parameters drawn by ``init_parameters`` (all zero if rng is None)."""
     geometry = (config.n_qubits, config.enc_depth, config.qkv_depth)
     model = QsannModel(
         config=config,
@@ -149,7 +150,8 @@ def init_model(config: ModelConfig, vocab_size: int, rng: np.random.Generator) -
         embeddings=EmbeddingTable(np.zeros((vocab_size, config.embed_dim))),
         observables=ObservableSet.default(config.n_qubits, config.embed_dim),
     )
-    init_parameters(model_param_dict(model), rng)
+    if rng is not None:
+        init_parameters(model_param_dict(model), rng)
     return model
 
 
@@ -169,22 +171,17 @@ def layer_traces(
     return traces
 
 
-def head_output(model, outputs: np.ndarray) -> tuple[np.ndarray, float]:
-    """(pooled last-layer output, sigmoid head output)."""
-    pooled = outputs.mean(axis=0)
-    return pooled, sigmoid(float(model.head_w @ pooled + model.head_b[0]))
-
-
-def predict(model, outputs: np.ndarray, attention: list[AttentionMatrix]) -> Prediction:
-    """The head's prediction from the last layer's per-word outputs."""
-    _, y_hat = head_output(model, outputs)
-    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=attention)
+def predict(model, pooled: np.ndarray, attention=()) -> Prediction:
+    """The sigmoid head's prediction from one sentence's mean-pooled last-layer output."""
+    y_hat = sigmoid(float(model.head_w @ pooled + model.head_b[0]))
+    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=list(attention))
 
 
 def head_backward(model, outputs: np.ndarray, label) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dL/dw, dL/db, dL/d outputs) of the single-sample loss, lam penalty included."""
     n_words = outputs.shape[0]
-    pooled, y_hat = head_output(model, outputs)
+    pooled = outputs.mean(axis=0)
+    y_hat = predict(model, pooled).y_hat
     sigma_t = (y_hat - float(label)) * y_hat * (1.0 - y_hat)
     d_w = sigma_t * pooled + (model.lam / model.embeddings.dim) * model.head_w
     g = np.tile(sigma_t * model.head_w / n_words, (n_words, 1))
@@ -194,28 +191,22 @@ def head_backward(model, outputs: np.ndarray, label) -> tuple[np.ndarray, np.nda
 def embedding_gradient(model, ids: list[int], xs: np.ndarray, g: np.ndarray) -> np.ndarray:
     """dL/d(embedding table): each word's upstream gradient g plus its gamma penalty."""
     d_emb = np.zeros_like(model.embeddings.rows)
-    gamma_scale = model.gamma / model.embeddings.dim
-    for pos, token in enumerate(ids):
-        d_emb[token] += g[pos] + gamma_scale * xs[pos]
+    np.add.at(d_emb, ids, g + model.gamma / model.embeddings.dim * xs)  # in word order
     return d_emb
 
 
 def head_params(model) -> dict[str, np.ndarray]:
     """Live views of the head and embedding arrays, keyed for the optimizer."""
-    return {
-        "head_w": model.head_w,
-        "head_b": model.head_b,
-        "embeddings": model.embeddings.rows,
-    }
+    return {"head_w": model.head_w, "head_b": model.head_b, "embeddings": model.embeddings.rows}
 
 
 def model_param_dict(model: QsannModel) -> dict[str, np.ndarray]:
     """Live views of all trainable arrays, keyed for the optimizer."""
-    params: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(model.layers):
-        params[f"layer{i}.theta_q"] = layer.theta_q.values
-        params[f"layer{i}.theta_k"] = layer.theta_k.values
-        params[f"layer{i}.theta_v"] = layer.theta_v.values
+    params = {
+        f"layer{i}.theta_{c}": getattr(layer, f"theta_{c}").values
+        for i, layer in enumerate(model.layers)
+        for c in "qkv"
+    }
     return {**params, **head_params(model)}
 
 
@@ -233,6 +224,28 @@ def init_parameters(params: dict[str, np.ndarray], rng: np.random.Generator) -> 
             param[...] = rng.normal(0.0, INIT_STD, param.shape)
 
 
+def length_groups(lengths, limit: int) -> Iterator[dict[int, list[int]]]:
+    """Windows of consecutive sequences, each of at most ``limit`` tokens but at least
+    one sequence, as {length: indices of the window's sequences of that length}."""
+    groups: dict[int, list[int]] = {}
+    tokens = 0
+    for index, length in enumerate(lengths):
+        if groups and tokens + length > limit:
+            yield groups
+            groups, tokens = {}, 0
+        groups.setdefault(length, []).append(index)
+        tokens += length
+    yield groups
+
+
+def _measured(engine: Engine, rows: np.ndarray) -> np.ndarray:
+    """Clipped expectations of input rows, ENCODE_BLOCK rows at a time: (R, 2 + d)."""
+    return np.concatenate([
+        engine.measure(rows[start : start + ENCODE_BLOCK])[1]
+        for start in range(0, len(rows), ENCODE_BLOCK)
+    ])
+
+
 def forward_many(
     sequences,
     model: QsannModel,
@@ -240,35 +253,41 @@ def forward_many(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Iterator[Prediction]:
-    """One prediction per token-id sequence, in order, as they are computed.
+    """One prediction per token-id sequence, in order, a window at a time.
 
-    Each layer's ``Engine`` is built once for the whole pass.  A first-layer
-    word's expectations depend only on its embedding row, so every distinct
-    word of the pass is encoded and measured once, ENCODE_BLOCK rows at a
-    time; each sentence then gathers its rows, samples shots and attends,
-    and deeper layers measure its outputs against their shared engines.
-    The numbers and the rng stream are those of ``layer_traces`` run
-    sentence by sentence.
+    Every sequence is checked before anything is built.  Each layer's
+    ``Engine`` is built once, and each distinct word of the pass is measured
+    once.  A window holds consecutive sentences of at most WINDOW_TOKENS
+    tokens, so memory does not grow with the pass; its sentences of one
+    length run as (B, S, .) arrays through the attention steps, the deeper
+    layers' measurements and the pooling, and only the head runs per
+    sentence.  With shots a window is one sentence, so the draws keep the
+    per-sentence order.  Numbers and draws are those of ``layer_traces``.
     """
-    checked = [model.embeddings.check_ids(sequence) for sequence in sequences]
-    if not checked:
+    sequences = list(sequences)
+    for sequence in sequences:  # held as given: a checked copy would grow with the pass
+        model.embeddings.check_ids(sequence)
+    if not sequences:
         return
     engines = [Engine(layer, model.observables, noise) for layer in model.layers]
     rows = model.embeddings.rows
-    words, inverse = np.unique(np.concatenate(checked), return_inverse=True)
-    first = np.concatenate([
-        engines[0].measure(rows[words[start : start + ENCODE_BLOCK]])[1]
-        for start in range(0, words.size, ENCODE_BLOCK)
-    ])
-    stop = 0
-    for ids in checked:
-        start, stop = stop, stop + len(ids)
-        *_, matrix, xs = attend(rows[ids], first[inverse[start:stop]], shots, rng)
-        attention = [matrix]
-        for engine in engines[1:]:
-            *_, matrix, xs = attend(xs, engine.measure(xs)[1], shots, rng)
-            attention.append(matrix)
-        yield predict(model, xs, attention)
+    present = np.zeros(len(rows), dtype=bool)
+    present[np.fromiter(itertools.chain.from_iterable(sequences), np.intp)] = True
+    first = _measured(engines[0], rows[present])
+    slot = np.cumsum(present) - 1  # each present word's row of `first`
+    for window in length_groups(map(len, sequences), WINDOW_TOKENS if shots is None else 1):
+        predictions = {}
+        for members in window.values():
+            ids = np.array([sequences[i] for i in members])  # (B, S)
+            *_, attention, xs = attend(rows[ids], first[slot[ids]], shots, rng)
+            layers = [attention]
+            for engine in engines[1:]:
+                expectations = _measured(engine, xs.reshape(-1, xs.shape[-1]))
+                *_, attention, xs = attend(xs, expectations.reshape(*ids.shape, -1), shots, rng)
+                layers.append(attention)
+            for i, pooled, matrices in zip(members, xs.mean(axis=1), zip(*layers)):
+                predictions[i] = predict(model, pooled, matrices)
+        yield from (prediction for _, prediction in sorted(predictions.items()))
 
 
 def forward(
@@ -283,11 +302,17 @@ def forward(
 
 
 def regularization(model, batch) -> float:
-    """Head-weight penalty plus batch-averaged embedding-norm penalty."""
+    """Head-weight penalty plus batch-averaged embedding-norm penalty.  Same-length squared
+    norms are row sums of a (B, S d) array, each the pairwise sum of one (S, d) block."""
     d = model.embeddings.dim
     reg = model.lam / (2.0 * d) * float(model.head_w @ model.head_w)
     if model.gamma > 0.0:
-        norms = [float(np.sum(model.embeddings.rows[list(ids)] ** 2)) for ids, _ in batch]
+        sequences = [ids for ids, _ in batch]
+        norms = np.empty(len(sequences))
+        for window in length_groups(map(len, sequences), WINDOW_TOKENS):
+            for members in window.values():
+                words = model.embeddings.rows[np.array([sequences[i] for i in members])]
+                norms[members] = (words.reshape(len(members), -1) ** 2).sum(axis=1)
         reg += model.gamma / (2.0 * d) * float(np.mean(norms))
     return reg
 

@@ -106,7 +106,7 @@ class ModelKind:
 
     name: str
     model_type: type
-    init: Callable  # (settings, vocab_size, rng) -> fresh model, drawn by init_parameters
+    init: Callable  # (settings, vocab_size, rng) -> fresh model, drawn unless rng is None
     settings: Callable  # model -> dict of its model_config
     set_penalties: Callable  # (model, lam, gamma) -> None
     forward: Callable  # (sequences, model, noise, shots, rng) -> Predictions, in order
@@ -115,7 +115,7 @@ class ModelKind:
     parameter_count: Callable  # model -> (qkv, head, total)
 
 
-def _qsann_init(settings: dict, vocab_size: int, rng: np.random.Generator):
+def _qsann_init(settings: dict, vocab_size: int, rng: np.random.Generator | None):
     fields = (f.name for f in dataclasses.fields(model_mod.ModelConfig))
     config = model_mod.ModelConfig(**{name: settings[name] for name in fields})
     return model_mod.init_model(config, vocab_size, rng)

@@ -99,6 +99,17 @@ class TestObservablesUnderNoise:
             assert np.array_equal(held, fresh)
             assert obs.under(channel) is held
 
+    def test_default_set_is_shared_and_alternating_channels_stay_exact(self):
+        obs = ObservableSet.default(2, 6)
+        assert ObservableSet.default(2, 6) is obs
+        assert ObservableSet.default(2, 5) is not obs
+        assert not obs.matrices.flags.writeable
+        channels = [NoiseChannel("depolarizing", 0.1), NoiseChannel("amplitude_damping", 0.2)]
+        for channel in channels * 3:  # models of one geometry, trained with different noise
+            fresh = apply_channel_every_qubit(obs.matrices, channel, 2, adjoint=True)
+            assert np.array_equal(obs.under(channel), fresh)
+        assert obs.under(None) is obs.matrices
+
     def test_engines_share_the_held_stack_and_pure_reads_the_matrices(self, rng):
         obs = ObservableSet.default(2, 6)
         noise = NoiseChannel("depolarizing", 0.1)
@@ -355,19 +366,35 @@ class TestShotSampling:
 
     def test_draw_order_is_query_key_values(self, rng):
         # the rng stream, and so `qsann eval --shots` output, depends on this order
-        xs = rng.uniform(-1, 1, (4, 6))
-        expectations = rng.uniform(-1, 1, (4, 8))
-        zq, zk, values, attention, outputs = attend(xs, expectations, 64, np.random.default_rng(3))
+        xs = rng.uniform(-1, 1, (1, 4, 6))
+        expectations = rng.uniform(-1, 1, (1, 4, 8))
+        zq, zk, values, (attention,), outputs = attend(
+            xs, expectations, 64, np.random.default_rng(3)
+        )
         ref = np.random.default_rng(3)
 
         def draw(exact):
             return 2.0 * ref.binomial(64, np.clip((1.0 + exact) / 2.0, 0.0, 1.0)) / 64 - 1.0
 
-        assert np.array_equal(zq, draw(expectations[:, 0]))
-        assert np.array_equal(zk, draw(expectations[:, 1]))
-        assert np.array_equal(values, draw(expectations[:, 2:]))
-        assert np.array_equal(attention.coefficients, gpqsa_coefficients(zq, zk).coefficients)
-        assert np.array_equal(outputs, xs + attention.coefficients @ values)
+        assert np.array_equal(zq[0], draw(expectations[0, :, 0]))
+        assert np.array_equal(zk[0], draw(expectations[0, :, 1]))
+        assert np.array_equal(values[0], draw(expectations[0, :, 2:]))
+        assert np.array_equal(attention.coefficients, gpqsa_coefficients(zq[0], zk[0]).coefficients)
+        assert np.array_equal(outputs[0], xs[0] + attention.coefficients @ values[0])
+
+    def test_stacked_sentences_attend_as_each_alone(self, rng):
+        # exact expectations: a stack of B sentences gives each sentence's own bits
+        for b, s in ((1, 1), (5, 1), (3, 4), (7, 12)):
+            xs = rng.uniform(-1, 1, (b, s, 6))
+            expectations = rng.uniform(-1, 1, (b, s, 8))
+            *_, matrices, outputs = attend(xs, expectations)
+            assert len(matrices) == b
+            for i in range(b):
+                *_, (alone,), out = attend(xs[i : i + 1], expectations[i : i + 1])
+                assert np.array_equal(matrices[i].coefficients, alone.coefficients)
+                assert np.array_equal(outputs[i], out[0])
+                want = gpqsa_coefficients(expectations[i, :, 0], expectations[i, :, 1])
+                assert np.array_equal(matrices[i].coefficients, want.coefficients)
 
     def test_shots_need_rng(self, rng):
         with pytest.raises(ConfigurationError):

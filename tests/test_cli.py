@@ -81,6 +81,29 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("kind", ["qsann", "csann", "naive"])
+    def test_loading_draws_nothing(self, rng, tmp_path, monkeypatch, kind):
+        # the stored arrays fill zero arrays; no parameter is drawn and thrown away
+        vocab = data.Vocabulary([data.OOV_TOKEN, "a", "b", "c"])
+        settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 2,
+                    "lam": 0.1, "gamma": 0.2, "dim": 3}
+        entry = training.MODEL_KINDS[kind]
+        model = entry.init(settings, vocab.size, rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, vocab, {})
+
+        def refuse(*args):
+            raise AssertionError("a loaded model must not be drawn")
+
+        monkeypatch.setattr(model_mod, "init_parameters", refuse)
+        loaded, _, _ = load_checkpoint(path)
+        saved, read = entry.params(model), entry.params(loaded)
+        assert list(read) == list(saved)
+        for key in saved:
+            assert np.array_equal(read[key], saved[key]), key
+        if kind == "qsann":  # the default observables stay the shared set
+            assert loaded.observables is model.observables
+
+    @pytest.mark.parametrize("kind", ["qsann", "csann", "naive"])
     def test_save_load_save_identical_bytes(self, rng, tmp_path, kind):
         vocab = data.Vocabulary([data.OOV_TOKEN, "a", "b", "c"])
         model = {
@@ -511,7 +534,7 @@ class TestCheckpointRecipe:
     @pytest.mark.parametrize("command", ["eval", "attention"])
     @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
     @pytest.mark.parametrize("key,value", [("lam", float("nan")), ("gamma", float("inf")),
-                                           ("lam", -0.1), ("lam", "x")])
+                                           ("lam", -0.1), ("lam", "x"), ("gamma", None)])
     def test_bad_penalty_exit_two(self, rng, tmp_path, toy_checkpoint, capsys,
                                   command, kind, key, value):
         settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 1,

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import attention, model as model_mod, training
+from qsann import attention, baselines, model as model_mod, training
 from qsann.errors import ConfigurationError, EmptySequenceError
 from qsann.model import (
     ModelConfig,
@@ -88,19 +90,64 @@ class TestForward:
         assert np.isfinite(forward([1], model).y_hat)
 
 
+def one_sentence_coefficients(zq, zk):
+    """One sentence's row-normalised Gaussian coefficients, computed alone."""
+    raw = np.exp(-((zq[:, None] - zk[None, :]) ** 2))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def one_sentence_attend(xs, expectations, shots, rng):
+    """One sentence's attention step, computed alone: (coefficients, outputs), with
+    shots drawn for zq, then zk, then the values."""
+    zq = attention._maybe_sample(expectations[:, 0], shots, rng)
+    zk = attention._maybe_sample(expectations[:, 1], shots, rng)
+    values = attention._maybe_sample(expectations[:, 2:], shots, rng)
+    coefficients = one_sentence_coefficients(zq, zk)
+    return coefficients, xs + coefficients @ values
+
+
+def per_sentence_regularization(model, batch):
+    """The penalties with each sentence's embedding norm summed on its own."""
+    d = model.embeddings.dim
+    reg = model.lam / (2.0 * d) * float(model.head_w @ model.head_w)
+    if model.gamma > 0.0:
+        norms = [float(np.sum(model.embeddings.rows[list(ids)] ** 2)) for ids, _ in batch]
+        reg += model.gamma / (2.0 * d) * float(np.mean(norms))
+    return reg
+
+
 def per_sentence(sequences, model, noise=None, shots=None, rng=None):
-    """The path forward_many replaces: every layer run sentence by sentence."""
+    """The reference for forward_many: every sentence measured, attended and pooled
+    on its own, layer by layer.  Yields (y_hat, coefficients of each layer)."""
+    engines = [attention.Engine(layer, model.observables, noise) for layer in model.layers]
     for ids in sequences:
-        traces = model_mod.layer_traces(list(ids), model, noise, shots, rng)
-        yield model_mod.predict(model, traces[-1].outputs, [t.attention for t in traces])
+        xs = model.embeddings.rows[list(ids)]
+        layers = []
+        for engine in engines:
+            coefficients, xs = one_sentence_attend(xs, engine.measure(xs)[1], shots, rng)
+            layers.append(coefficients)
+        pooled = xs.mean(axis=0)
+        yield model_mod.sigmoid(float(model.head_w @ pooled + model.head_b[0])), layers
 
 
 def per_sentence_evaluate(samples, model, noise=None, shots=None, rng=None):
-    preds = list(per_sentence([ids for ids, _ in samples], model, noise, shots, rng))
-    hits = sum(int(pred.label == label) for pred, (_, label) in zip(preds, samples))
-    errors = [(pred.y_hat - float(label)) ** 2 for pred, (_, label) in zip(preds, samples)]
-    mean_loss = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)
+    preds = [y for y, _ in per_sentence([ids for ids, _ in samples], model, noise, shots, rng)]
+    hits = sum(int((y >= 0.5) == label) for y, (_, label) in zip(preds, samples))
+    errors = [(y - float(label)) ** 2 for y, (_, label) in zip(preds, samples)]
+    mean_loss = float(np.mean(errors)) / 2.0 + per_sentence_regularization(model, samples)
     return hits / len(samples), mean_loss
+
+
+def assert_same_predictions(got, expected, n_layers):
+    got = list(got)
+    assert len(got) == len(expected)
+    for new, (y_hat, layers) in zip(got, expected):
+        assert repr(new.y_hat) == repr(y_hat)
+        assert new.label == int(y_hat >= 0.5)
+        assert len(new.attention) == len(layers) == n_layers
+        for a, b in zip(new.attention, layers):
+            assert type(a) is attention.AttentionMatrix
+            assert np.array_equal(a.coefficients, b)
 
 
 VOCAB = 90  # more distinct words than one encoding block
@@ -117,44 +164,94 @@ def vocabulary_pass(rng):
     return [(ids, int(rng.integers(0, 2))) for ids in sequences]
 
 
+def same_length_pass(rng):
+    """Many sentences of each of a few lengths, interleaved, one of them one word long."""
+    lengths = [1] + list(rng.choice([2, 3, 5, 9], 70))
+    return [(list(rng.integers(0, VOCAB, s)), int(rng.integers(0, 2))) for s in lengths]
+
+
 NOISES = [None, NoiseChannel("depolarizing", 0.1), NoiseChannel("amplitude_damping", 0.2)]
+# the default window holds each pass whole; 7 tokens splits it into many windows
+WINDOWS = [model_mod.WINDOW_TOKENS, 7]
 
 
 class TestForwardMany:
+    @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("shots", [None, 64])
     @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("noise", NOISES, ids=["pure", "depolarizing", "damping"])
-    def test_equals_per_sentence_path(self, rng, noise, n_layers, shots):
+    def test_equals_per_sentence_path(self, rng, monkeypatch, noise, n_layers, shots, window):
+        monkeypatch.setattr(model_mod, "WINDOW_TOKENS", window)
         model = build_random_model(
             rng, n_layers=n_layers, vocab_size=VOCAB, lam=0.1, gamma=0.2, scale=0.8
         )
-        samples = vocabulary_pass(rng)
+        samples = vocabulary_pass(rng) + same_length_pass(rng)
         sequences = [ids for ids, _ in samples]
         seeded = (lambda: np.random.default_rng(11)) if shots else (lambda: None)
         rng_ref, rng_new = seeded(), seeded()
         expected = list(per_sentence(sequences, model, noise, shots, rng_ref))
-        got = list(model_mod.forward_many(sequences, model, noise, shots, rng_new))
-        assert len(got) == len(expected)
-        for new, ref in zip(got, expected):
-            assert repr(new.y_hat) == repr(ref.y_hat)
-            assert new.label == ref.label
-            assert len(new.attention) == len(ref.attention) == n_layers
-            for a, b in zip(new.attention, ref.attention):
-                assert np.array_equal(a.coefficients, b.coefficients)
+        got = model_mod.forward_many(sequences, model, noise, shots, rng_new)
+        assert_same_predictions(got, expected, n_layers)
         if shots:  # both passes drew the same numbers from their rngs
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         ref = per_sentence_evaluate(samples, model, noise, shots, seeded())
         assert repr(training.evaluate(samples, model, noise, shots, seeded())) == repr(ref)
 
+    @pytest.mark.parametrize("shots", [None, 64])
+    @pytest.mark.parametrize("noise", NOISES[:2], ids=["pure", "depolarizing"])
+    def test_training_traces_equal_per_sentence_path(self, rng, noise, shots):
+        # layer_traces, which the backward reads, runs the same attend with one sentence
+        model = build_random_model(rng, n_layers=2, vocab_size=VOCAB, scale=0.8)
+        sequences = [ids for ids, _ in same_length_pass(rng)[:12]]
+        rng_ref, rng_new = np.random.default_rng(5), np.random.default_rng(5)
+        expected = per_sentence(sequences, model, noise, shots, rng_ref if shots else None)
+        for ids, (y_hat, layers) in zip(sequences, expected):
+            traces = model_mod.layer_traces(ids, model, noise, shots, rng_new if shots else None)
+            for trace, coefficients in zip(traces, layers):
+                assert np.array_equal(trace.attention.coefficients, coefficients)
+            y_new = model_mod.predict(model, traces[-1].outputs.mean(axis=0)).y_hat
+            assert repr(y_new) == repr(y_hat)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_groups_each_window_by_length(self, rng, monkeypatch):
+        model = build_random_model(rng, n_layers=2, vocab_size=VOCAB)
+        sequences = [ids for ids, _ in same_length_pass(rng)]
+        batches = []
+        original = model_mod.attend
+
+        def record(xs, expectations, shots=None, rng=None):
+            batches.append(xs.shape[:2])
+            return original(xs, expectations, shots, rng)
+
+        monkeypatch.setattr(model_mod, "attend", record)
+        for window in WINDOWS:
+            monkeypatch.setattr(model_mod, "WINDOW_TOKENS", window)
+            batches.clear()
+            list(model_mod.forward_many(sequences, model))
+            expected = [
+                (len(members), length)
+                for groups in model_mod.length_groups(map(len, sequences), window)
+                for length, members in groups.items()
+                for _ in range(2)  # one attend per layer
+            ]
+            assert batches == expected
+        lengths = [len(ids) for ids in sequences]
+        whole = list(model_mod.length_groups(lengths, WINDOWS[0]))
+        assert len(whole) == 1 and sorted(whole[0]) == [1, 2, 3, 5, 9]
+        for groups in model_mod.length_groups(lengths, 7):
+            members = sorted(i for indices in groups.values() for i in indices)
+            assert members == list(range(members[0], members[-1] + 1))  # consecutive
+            assert sum(lengths[i] for i in members) <= 7 or len(members) == 1
+
     def test_forward_and_loss_use_it(self, rng):
         model = build_random_model(rng, n_layers=2, vocab_size=VOCAB, gamma=0.3)
         samples = vocabulary_pass(rng)[:6]
-        for (ids, _), ref in zip(samples, per_sentence([i for i, _ in samples], model)):
-            assert repr(forward(ids, model).y_hat) == repr(ref.y_hat)
-        errors = [(p.y_hat - label) ** 2 for p, (_, label) in
-                  zip(per_sentence([i for i, _ in samples], model), samples)]
-        expected = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)
-        assert repr(loss(samples, model)) == repr(expected)
+        expected = list(per_sentence([ids for ids, _ in samples], model))
+        for (ids, _), (y_hat, _) in zip(samples, expected):
+            assert repr(forward(ids, model).y_hat) == repr(y_hat)
+        errors = [(y_hat - label) ** 2 for (y_hat, _), (_, label) in zip(expected, samples)]
+        expected_loss = float(np.mean(errors)) / 2.0 + per_sentence_regularization(model, samples)
+        assert repr(loss(samples, model)) == repr(expected_loss)
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_builds_operators_once_and_encodes_each_word_once(self, rng, monkeypatch, n_layers):
@@ -184,17 +281,55 @@ class TestForwardMany:
         assert max(first) == model_mod.ENCODE_BLOCK
         tokens = sum(len(ids) for ids, _ in samples)
         assert sum(deeper) == (n_layers - 1) * tokens
+        assert all(rows <= model_mod.ENCODE_BLOCK for rows in deeper)
 
-    def test_checks_every_sequence_first(self, rng, monkeypatch):
-        model = build_random_model(rng)
+    @pytest.mark.parametrize("bad", [0, 40, -1])
+    def test_checks_every_sequence_first(self, rng, monkeypatch, bad):
+        model = build_random_model(rng, vocab_size=VOCAB)
         monkeypatch.setattr(attention, "ansatz_unitaries", None)  # never reached
-        with pytest.raises(IndexError):
-            next(model_mod.forward_many([[1], [2], [99]], model))
-        with pytest.raises(EmptySequenceError):
-            next(model_mod.forward_many([[1], []], model))
+        monkeypatch.setattr(model_mod, "WINDOW_TOKENS", 7)
+        sequences = [ids for ids, _ in same_length_pass(rng)]
+        for wrong, error in (([2, VOCAB], IndexError), ([2, -1], IndexError),
+                             ([], EmptySequenceError)):
+            passed = list(sequences)
+            passed[bad] = wrong
+            with pytest.raises(error):
+                next(model_mod.forward_many(passed, model))
 
     def test_no_sequences_no_predictions(self, rng):
         assert list(model_mod.forward_many([], build_random_model(rng))) == []
+
+    def test_peak_memory_does_not_grow_with_the_pass(self, rng):
+        model = build_random_model(rng, n_layers=2, vocab_size=VOCAB)
+        sequences = [list(rng.integers(0, VOCAB, rng.integers(4, 13))) for _ in range(4800)]
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                for _ in model_mod.forward_many(sequences[:count], model):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert sum(map(len, sequences[:1200])) > 4 * model_mod.WINDOW_TOKENS
+        assert peak(4800) < 1.15 * peak(1200)
+
+
+class TestRegularization:
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_equals_per_sentence_norms(self, rng, monkeypatch, window):
+        monkeypatch.setattr(model_mod, "WINDOW_TOKENS", window)
+        model = build_random_model(rng, vocab_size=VOCAB, lam=0.3, gamma=0.7, scale=1.3)
+        for samples in (vocabulary_pass(rng), same_length_pass(rng), [([5], 1)]):
+            assert repr(model_mod.regularization(model, samples)) == repr(
+                per_sentence_regularization(model, samples)
+            )
+        model.config = ModelConfig(2, 1, 1, 1, lam=0.3, gamma=0.0)
+        samples = same_length_pass(rng)
+        assert repr(model_mod.regularization(model, samples)) == repr(
+            per_sentence_regularization(model, samples)
+        )
 
 
 class TestLoss:
@@ -267,6 +402,24 @@ class TestParameterCount:
 
 
 class TestModelValidation:
+    @pytest.mark.parametrize("lam,gamma", [("x", 0.0), (0.0, None), ([0.1], 0.0)])
+    def test_non_number_penalties_refused(self, rng, lam, gamma):
+        with pytest.raises(ConfigurationError, match="regularization"):
+            init_model(ModelConfig(2, 1, 1, 1, lam=lam, gamma=gamma), 5, rng)
+        with pytest.raises(ConfigurationError, match="regularization"):
+            baselines.init_csann(4, 3, rng, lam=lam, gamma=gamma)
+        with pytest.raises(ConfigurationError, match="regularization"):
+            baselines.init_naive(4, 3, rng, lam=lam, gamma=gamma)
+
+    def test_models_share_the_default_observables(self, rng):
+        first = init_model(ModelConfig(2, 1, 1, 1), 5, rng)
+        second = init_model(ModelConfig(2, 1, 1, 2), 9, rng)
+        assert first.observables is second.observables
+        assert not first.observables.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            first.observables.matrices[0, 0, 0] = 2.0
+
+
     def test_head_dimension_checked(self, rng):
         model = build_random_model(rng)
         with pytest.raises(ConfigurationError):
@@ -297,3 +450,16 @@ class TestModelValidation:
             expected = np.zeros(1) if key == "head_b" else rng.normal(0.0, 0.01, arr.shape)
             assert np.array_equal(arr, expected), key
         assert model_mod.INIT_STD == 0.01
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+def test_embedding_gradient_adds_repeated_words_in_order(rng, gamma):
+    model = build_random_model(rng, vocab_size=VOCAB, gamma=gamma)
+    for ids in ([3, 1, 3, 4, 3], [7], list(rng.integers(0, 6, 40))):
+        xs = model.embeddings.rows[ids]
+        g = rng.normal(0.0, 1.0, xs.shape)
+        expected = np.zeros_like(model.embeddings.rows)  # reference: one word at a time
+        gamma_scale = model.gamma / model.embeddings.dim
+        for pos, token in enumerate(ids):
+            expected[token] += g[pos] + gamma_scale * xs[pos]
+        assert np.array_equal(model_mod.embedding_gradient(model, ids, xs, g), expected)
