@@ -23,7 +23,9 @@ sampling, attention coefficients and the residual.  ``layer_forward``
 composes the two for one sentence and keeps the engine in its
 ``LayerTrace``, from which the backward pass reads everything it needs;
 ``model.forward_many`` shares one engine per layer across a whole pass and
-attends its sentences a length group at a time.
+attends its sentences a length group at a time.  Coefficients stay plain
+(S, S) arrays; a checked ``AttentionMatrix`` is built only for export
+(``gpqsa_coefficients`` and ``model.forward``).
 """
 
 from __future__ import annotations
@@ -274,16 +276,6 @@ def _gaussian(zq: np.ndarray, zk: np.ndarray) -> np.ndarray:
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def _matrices(coefficients: np.ndarray) -> list[AttentionMatrix]:
-    """One AttentionMatrix per (S, S) block of (B, S, S) normalised coefficients."""
-    if not coefficients.min() > 0.0:  # underflow far outside [-1, 1]: the checks refuse it
-        return [AttentionMatrix(block) for block in coefficients]
-    matrices = [object.__new__(AttentionMatrix) for _ in coefficients]
-    for matrix, block in zip(matrices, coefficients):  # rows sum to 1: entries in (0, 1]
-        object.__setattr__(matrix, "coefficients", block)
-    return matrices
-
-
 def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
     """Gaussian attention matrix from query/key projections, row-normalized."""
     zq = np.asarray(zq, dtype=np.float64)
@@ -292,7 +284,7 @@ def gpqsa_coefficients(zq, zk) -> AttentionMatrix:
         raise ConfigurationError("query and key projections must be equal-length vectors")
     if zq.shape[0] == 0:
         raise EmptySequenceError("attention needs at least one position")
-    return _matrices(_gaussian(zq[None], zk[None]))[0]
+    return AttentionMatrix(_gaussian(zq[None], zk[None])[0])
 
 
 def measured_quantities(size: int) -> tuple[list[int], list[int]]:
@@ -315,7 +307,7 @@ class LayerTrace:
     zq: np.ndarray  # (S,) <Z_1> after the query circuit
     zk: np.ndarray  # (S,) <Z_1> after the key circuit
     values: np.ndarray  # (S, d) value-circuit expectations
-    attention: AttentionMatrix
+    coefficients: np.ndarray  # (S, S) normalised attention coefficients
     outputs: np.ndarray  # (S, d) residual outputs
 
 
@@ -324,16 +316,16 @@ def attend(
     expectations: np.ndarray,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[AttentionMatrix], np.ndarray]:
-    """(zq, zk, values, attention, outputs) of B sentences of S words from their
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(zq, zk, values, coefficients, outputs) of B sentences of S words from their
     (B, S, d) inputs and (B, S, 2 + d) expectations: shots sampled for every zq,
-    then zk, then the values, one AttentionMatrix per sentence, and the residual
+    then zk, then the values, the (B, S, S) coefficients, and the residual
     y_s = x_s + sum_j coeff[s, j] * o_j as one batched matrix product."""
     zq = _maybe_sample(expectations[..., 0], shots, rng)
     zk = _maybe_sample(expectations[..., 1], shots, rng)
     values = _maybe_sample(expectations[..., 2:], shots, rng)
     coefficients = _gaussian(zq, zk)
-    return zq, zk, values, _matrices(coefficients), xs + coefficients @ values
+    return zq, zk, values, coefficients, xs + coefficients @ values
 
 
 def layer_forward(
@@ -349,5 +341,5 @@ def layer_forward(
     xs = _check_inputs(inputs, params)
     engine = Engine(params, obs, noise)
     encoded, expectations = engine.measure(xs)
-    zq, zk, values, (attention,), outputs = attend(xs[None], expectations[None], shots, rng)
-    return LayerTrace(xs, encoded, engine, zq[0], zk[0], values[0], attention, outputs[0])
+    zq, zk, values, coefficients, outputs = attend(xs[None], expectations[None], shots, rng)
+    return LayerTrace(xs, encoded, engine, zq[0], zk[0], values[0], coefficients[0], outputs[0])

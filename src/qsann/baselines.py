@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .attention import AttentionMatrix
 from .data import EmbeddingTable
 from .errors import ConfigurationError
 from .model import Prediction
@@ -97,13 +96,13 @@ def _csann_intermediates(ids, params: CsannParams):
 
 def csann_forward(sequence, params: CsannParams) -> Prediction:
     ids = params.embeddings.check_ids(sequence)
-    *_, attn, ys = _csann_intermediates(ids, params)
-    return model_mod.predict(params, ys.mean(axis=0), [AttentionMatrix(attn)])
+    ys = _csann_intermediates(ids, params)[-1]
+    return model_mod.predict(params, ys.mean(axis=0))
 
 
 def naive_forward(sequence, params: NaiveParams) -> Prediction:
     ids = params.embeddings.check_ids(sequence)
-    return model_mod.predict(params, params.embeddings.rows[ids].mean(axis=0), [])
+    return model_mod.predict(params, params.embeddings.rows[ids].mean(axis=0))
 
 
 def csann_backward(sample, params: CsannParams) -> dict[str, np.ndarray]:

@@ -91,6 +91,11 @@ class RunConfig:
             raise ConfigurationError(f"embed_dim must be at least 1, got {self.embed_dim}")
         if self.model == "qsann":  # geometry and memory-budget checks
             model_mod.ModelConfig(self.n_qubits, self.enc_depth, self.qkv_depth, self.n_layers)
+        elif self.model == "csann" and 24 * self.embed_dim**2 > model_mod.ENGINE_MEMORY_BUDGET:
+            raise ConfigurationError(
+                f"embed_dim {self.embed_dim}: csann's three float64 projections of that size "
+                f"exceed the {model_mod.ENGINE_MEMORY_BUDGET}-byte budget"
+            )
         if self.noise_kind is not None and self.model != "qsann":
             raise ConfigurationError("noise settings apply only to the quantum model")
         if self.noise_kind is not None:

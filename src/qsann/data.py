@@ -24,8 +24,11 @@ _STRIP_CHARS = string.punctuation
 
 def load_tsv(path) -> list[tuple[str, int]]:
     """Read (text, label) pairs, preserving file order."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read as UTF-8 text ({exc})") from None
     samples: list[tuple[str, int]] = []
     for lineno, line in enumerate(lines, start=1):
         if line == "":

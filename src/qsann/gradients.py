@@ -75,7 +75,7 @@ def layer_backward(
     inputs (residual + value + query + key parts).
     """
     u, zq, zk = trace.inputs, trace.zq, trace.zk
-    alpha, values, engine = trace.attention.coefficients, trace.values, trace.engine
+    alpha, values, engine = trace.coefficients, trace.values, trace.engine
 
     beta = g @ values.T
     beta_bar = np.sum(alpha * beta, axis=1)

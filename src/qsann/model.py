@@ -7,9 +7,9 @@ the head weights and one on the sequence's embedding vectors (batch-averaged
 so the total is invariant to batch size).
 
 Predictions come from ``forward_many``, which evaluates a pass of sentences
-in vocabulary space and attends them a length group at a time (``forward``
-is its one-sentence case); ``layer_traces`` keeps each layer's trace for the
-backward pass.
+in vocabulary space and attends them a length group at a time;
+``layer_traces`` keeps each layer's trace for the backward pass, and
+``forward`` reads one sentence's traces to export its attention matrices.
 
 This head, its penalties and their gradients are defined here once for every
 model kind: the functions below take any model with ``head_w``, ``head_b``,
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class QsannModel:
 class Prediction:
     y_hat: float
     label: int
-    attention: list[AttentionMatrix]
+    attention: Sequence[AttentionMatrix] = ()  # one per layer, from ``forward`` only
 
 
 def init_model(config: ModelConfig, vocab_size: int, rng: np.random.Generator | None):
@@ -174,7 +174,7 @@ def layer_traces(
 def predict(model, pooled: np.ndarray, attention=()) -> Prediction:
     """The sigmoid head's prediction from one sentence's mean-pooled last-layer output."""
     y_hat = sigmoid(float(model.head_w @ pooled + model.head_b[0]))
-    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=list(attention))
+    return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=attention)
 
 
 def head_backward(model, outputs: np.ndarray, label) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,38 +255,41 @@ def forward_many(
 ) -> Iterator[Prediction]:
     """One prediction per token-id sequence, in order, a window at a time.
 
-    Every sequence is checked before anything is built.  Each layer's
-    ``Engine`` is built once, and each distinct word of the pass is measured
-    once.  A window holds consecutive sentences of at most WINDOW_TOKENS
-    tokens, so memory does not grow with the pass; its sentences of one
-    length run as (B, S, .) arrays through the attention steps, the deeper
-    layers' measurements and the pooling, and only the head runs per
-    sentence.  With shots a window is one sentence, so the draws keep the
-    per-sentence order.  Numbers and draws are those of ``layer_traces``.
+    Every sequence is checked before anything is built: the range test runs
+    on the pass's distinct ids, and only a pass that fails it is checked
+    sentence by sentence, so that the first bad sentence raises.  Each
+    layer's ``Engine`` is built once, and each distinct word of the pass is
+    measured once.  A window holds consecutive sentences of at most
+    WINDOW_TOKENS tokens, so memory does not grow with the pass; its
+    sentences of one length run as (B, S, .) arrays through the attention
+    steps, the deeper layers' measurements and the pooling, and only the head
+    runs per sentence.  With shots a window is one sentence, so the draws keep
+    the per-sentence order.  Numbers and draws are those of ``layer_traces``.
     """
-    sequences = list(sequences)
-    for sequence in sequences:  # held as given: a checked copy would grow with the pass
-        model.embeddings.check_ids(sequence)
+    sequences = list(sequences)  # held as given: a checked copy would grow with the pass
+    distinct = list(set(itertools.chain.from_iterable(sequences)))  # bounded by the vocabulary
+    rows = model.embeddings.rows
+    in_range = not distinct or 0 <= min(distinct) and max(distinct) < len(rows)
+    if not (in_range and all(map(len, sequences))):
+        for sequence in sequences:
+            model.embeddings.check_ids(sequence)
     if not sequences:
         return
-    engines = [Engine(layer, model.observables, noise) for layer in model.layers]
-    rows = model.embeddings.rows
     present = np.zeros(len(rows), dtype=bool)
-    present[np.fromiter(itertools.chain.from_iterable(sequences), np.intp)] = True
+    present[distinct] = True  # IndexError for an id that is no integer
+    engines = [Engine(layer, model.observables, noise) for layer in model.layers]
     first = _measured(engines[0], rows[present])
     slot = np.cumsum(present) - 1  # each present word's row of `first`
     for window in length_groups(map(len, sequences), WINDOW_TOKENS if shots is None else 1):
         predictions = {}
         for members in window.values():
             ids = np.array([sequences[i] for i in members])  # (B, S)
-            *_, attention, xs = attend(rows[ids], first[slot[ids]], shots, rng)
-            layers = [attention]
+            xs = attend(rows[ids], first[slot[ids]], shots, rng)[-1]
             for engine in engines[1:]:
                 expectations = _measured(engine, xs.reshape(-1, xs.shape[-1]))
-                *_, attention, xs = attend(xs, expectations.reshape(*ids.shape, -1), shots, rng)
-                layers.append(attention)
-            for i, pooled, matrices in zip(members, xs.mean(axis=1), zip(*layers)):
-                predictions[i] = predict(model, pooled, matrices)
+                xs = attend(xs, expectations.reshape(*ids.shape, -1), shots, rng)[-1]
+            for i, pooled in zip(members, xs.mean(axis=1)):
+                predictions[i] = predict(model, pooled)
         yield from (prediction for _, prediction in sorted(predictions.items()))
 
 
@@ -297,8 +300,11 @@ def forward(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Prediction:
-    """Predict the positive-class probability for a token-id sequence."""
-    return next(forward_many([sequence], model, noise, shots, rng))
+    """Predict the positive-class probability for a token-id sequence, with each
+    layer's checked AttentionMatrix for export."""
+    traces = layer_traces(model.embeddings.check_ids(sequence), model, noise, shots, rng)
+    matrices = [AttentionMatrix(trace.coefficients) for trace in traces]
+    return predict(model, traces[-1].outputs.mean(axis=0), matrices)
 
 
 def regularization(model, batch) -> float:

@@ -331,13 +331,6 @@ def expectation_batch(amps: np.ndarray, obs: PauliString, n_qubits: int) -> np.n
 # (batch, dim, 2, ..., 2).
 
 
-def zero_density_batch(n_qubits: int, batch: int) -> np.ndarray:
-    dim = 2**n_qubits
-    rhos = np.zeros((batch, dim, dim), dtype=np.complex128)
-    rhos[:, 0, 0] = 1.0
-    return rhos
-
-
 def _dm_rows(rhos: np.ndarray, n_qubits: int) -> np.ndarray:
     batch, dim, _ = rhos.shape
     return rhos.reshape((batch,) + (2,) * n_qubits + (dim,))

@@ -28,7 +28,6 @@ from qsann.sim import (
     expectation_dm_batch,
     init_zero_state,
     pauli_matrix,
-    zero_density_batch,
 )
 
 
@@ -236,7 +235,7 @@ class TestLayerForward:
         obs = ObservableSet.default(2, 6)
         x = rng.uniform(-1, 1, 6)
         trace = layer_forward(x, layer, obs)
-        assert trace.attention.coefficients.tolist() == [[1.0]]
+        assert trace.coefficients.tolist() == [[1.0]]
         assert np.allclose(trace.outputs[0], x + trace.values[0], atol=1e-12)
 
     def test_shapes(self, rng):
@@ -244,7 +243,7 @@ class TestLayerForward:
         obs = ObservableSet.default(2, 6)
         trace = layer_forward(rng.uniform(-1, 1, (5, 6)), layer, obs)
         assert trace.outputs.shape == (5, 6)
-        assert trace.attention.coefficients.shape == (5, 5)
+        assert trace.coefficients.shape == (5, 5)
 
     def test_output_bound(self, rng):
         layer = random_layer(rng)
@@ -262,8 +261,8 @@ class TestLayerForward:
         b = layer_forward(xs[perm], layer, obs)
         assert np.allclose(b.outputs, a.outputs[perm], atol=1e-12)
         assert np.allclose(
-            b.attention.coefficients,
-            a.attention.coefficients[np.ix_(perm, perm)],
+            b.coefficients,
+            a.coefficients[np.ix_(perm, perm)],
             atol=1e-12,
         )
 
@@ -321,7 +320,7 @@ class TestNoisyLayer:
         xs = rng.uniform(-1, 1, (4, 6))
         for kind in ("depolarizing", "amplitude_damping"):
             trace = layer_forward(xs, layer, obs, noise=NoiseChannel(kind, 0.75))
-            assert np.max(np.abs(trace.attention.coefficients.sum(axis=1) - 1.0)) < 1e-10
+            assert np.max(np.abs(trace.coefficients.sum(axis=1) - 1.0)) < 1e-10
             assert np.all(np.isfinite(trace.outputs))
 
     def test_pure_and_noisy_agree_without_noise(self, rng):
@@ -349,7 +348,7 @@ class TestShotSampling:
         xs = rng.uniform(-1, 1, (3, 6))
         exact = layer_forward(xs, layer, obs).outputs
         sampled = layer_forward(xs, layer, obs, shots=64, rng=np.random.default_rng(0))
-        assert np.max(np.abs(sampled.attention.coefficients.sum(axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(sampled.coefficients.sum(axis=1) - 1.0)) < 1e-10
         assert not np.array_equal(exact, sampled.outputs)
 
     def test_sampled_expectation(self, rng):
@@ -368,7 +367,7 @@ class TestShotSampling:
         # the rng stream, and so `qsann eval --shots` output, depends on this order
         xs = rng.uniform(-1, 1, (1, 4, 6))
         expectations = rng.uniform(-1, 1, (1, 4, 8))
-        zq, zk, values, (attention,), outputs = attend(
+        zq, zk, values, coefficients, outputs = attend(
             xs, expectations, 64, np.random.default_rng(3)
         )
         ref = np.random.default_rng(3)
@@ -379,22 +378,22 @@ class TestShotSampling:
         assert np.array_equal(zq[0], draw(expectations[0, :, 0]))
         assert np.array_equal(zk[0], draw(expectations[0, :, 1]))
         assert np.array_equal(values[0], draw(expectations[0, :, 2:]))
-        assert np.array_equal(attention.coefficients, gpqsa_coefficients(zq[0], zk[0]).coefficients)
-        assert np.array_equal(outputs[0], xs[0] + attention.coefficients @ values[0])
+        assert np.array_equal(coefficients[0], gpqsa_coefficients(zq[0], zk[0]).coefficients)
+        assert np.array_equal(outputs[0], xs[0] + coefficients[0] @ values[0])
 
     def test_stacked_sentences_attend_as_each_alone(self, rng):
         # exact expectations: a stack of B sentences gives each sentence's own bits
         for b, s in ((1, 1), (5, 1), (3, 4), (7, 12)):
             xs = rng.uniform(-1, 1, (b, s, 6))
             expectations = rng.uniform(-1, 1, (b, s, 8))
-            *_, matrices, outputs = attend(xs, expectations)
-            assert len(matrices) == b
+            *_, coefficients, outputs = attend(xs, expectations)
+            assert type(coefficients) is np.ndarray and coefficients.shape == (b, s, s)
             for i in range(b):
-                *_, (alone,), out = attend(xs[i : i + 1], expectations[i : i + 1])
-                assert np.array_equal(matrices[i].coefficients, alone.coefficients)
+                *_, alone, out = attend(xs[i : i + 1], expectations[i : i + 1])
+                assert np.array_equal(coefficients[i], alone[0])
                 assert np.array_equal(outputs[i], out[0])
                 want = gpqsa_coefficients(expectations[i, :, 0], expectations[i, :, 1])
-                assert np.array_equal(matrices[i].coefficients, want.coefficients)
+                assert np.array_equal(coefficients[i], want.coefficients)
 
     def test_shots_need_rng(self, rng):
         with pytest.raises(ConfigurationError):
@@ -410,6 +409,14 @@ class TestShotSampling:
 # Density-matrix reference: each word's state evolves as a 2**n x 2**n matrix
 # through the Hadamard layer, the encoder, the query/key/value circuits and a
 # channel on every qubit after each circuit, as a noisy device would run it.
+
+
+def zero_density_batch(n_qubits, batch):
+    """A stack of |0...0><0...0| density matrices."""
+    dim = 2**n_qubits
+    rhos = np.zeros((batch, dim, dim), dtype=np.complex128)
+    rhos[:, 0, 0] = 1.0
+    return rhos
 
 
 def _dm_ansatz(rhos, spec, angles, noise):
@@ -508,7 +515,7 @@ class TestDensityMatrixReference:
         assert np.max(np.abs(trace.zk - zk)) < 1e-12
         assert np.max(np.abs(trace.values - values)) < 1e-12
         attention = gpqsa_coefficients(zq, zk).coefficients
-        assert np.max(np.abs(trace.attention.coefficients - attention)) < 1e-12
+        assert np.max(np.abs(trace.coefficients - attention)) < 1e-12
         assert np.max(np.abs(trace.outputs - (xs + attention @ values))) < 1e-12
 
     def test_backward(self, kind, p, n):

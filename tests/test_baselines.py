@@ -4,6 +4,7 @@ import pytest
 from conftest import assert_grad_close, finite_difference
 from qsann import data, training
 from qsann.baselines import (
+    _csann_intermediates,
     csann_backward,
     csann_forward,
     csann_param_dict,
@@ -16,6 +17,7 @@ from qsann.baselines import (
     naive_parameter_count,
 )
 from qsann.errors import EmptySequenceError
+from qsann.model import sigmoid
 
 
 def random_csann(rng, vocab=6, dim=4, lam=0.1, gamma=0.2):
@@ -32,22 +34,32 @@ def random_naive(rng, vocab=6, dim=4, lam=0.1, gamma=0.2):
     return params
 
 
+def softmax_rows(ids, params):
+    """CSANN's (S, S) attention rows of a sentence, which no prediction carries."""
+    return _csann_intermediates(ids, params)[4]
+
+
 class TestCsannForward:
     def test_zero_projections_give_uniform_attention(self, rng):
         params = random_csann(rng)
         params.w_query[...] = 0.0
         params.w_key[...] = 0.0
-        pred = csann_forward([1, 2, 3], params)
-        assert np.allclose(pred.attention[0].coefficients, 1.0 / 3.0, atol=1e-12)
+        assert np.allclose(softmax_rows([1, 2, 3], params), 1.0 / 3.0, atol=1e-12)
 
     def test_single_token_attention(self, rng):
-        pred = csann_forward([2], random_csann(rng))
-        assert pred.attention[0].coefficients.tolist() == [[1.0]]
+        assert softmax_rows([2], random_csann(rng)).tolist() == [[1.0]]
 
     def test_rows_stochastic(self, rng):
-        pred = csann_forward([1, 2, 3, 4], random_csann(rng))
-        sums = pred.attention[0].coefficients.sum(axis=1)
+        sums = softmax_rows([1, 2, 3, 4], random_csann(rng)).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-10
+
+    def test_prediction_is_the_pooled_attention_output(self, rng):
+        params = random_csann(rng)
+        ys = _csann_intermediates([1, 2, 3, 1], params)[-1]
+        pred = csann_forward([1, 2, 3, 1], params)
+        logit = float(params.head_w @ ys.mean(axis=0) + params.head_b[0])
+        assert pred.y_hat == sigmoid(logit)
+        assert pred.attention == ()
 
     def test_empty_sequence(self, rng):
         with pytest.raises(EmptySequenceError):

@@ -1,12 +1,13 @@
 import base64
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import data, model as model_mod, training
+from qsann import cli, data, model as model_mod, training
 from qsann.baselines import init_csann, init_naive
 from qsann.checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from qsann.cli import RunConfig, _write_json, load_preset, main
@@ -220,6 +221,29 @@ class TestRunConfig:
         assert cfg.noise_channel() is None
 
 
+# the widest csann whose three float64 d x d projections fit the engine memory budget
+CSANN_MAX_DIM = math.isqrt(model_mod.ENGINE_MEMORY_BUDGET // 24)
+
+
+def test_csann_projections_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
+    # RunConfig only checks the width: nothing of that size is allocated
+    assert RunConfig(str(toy_tsv), "csann", embed_dim=CSANN_MAX_DIM).embed_dim == CSANN_MAX_DIM
+    with pytest.raises(ConfigurationError, match="budget"):
+        RunConfig(str(toy_tsv), "csann", embed_dim=CSANN_MAX_DIM + 1)
+    assert RunConfig(str(toy_tsv), "naive", embed_dim=CSANN_MAX_DIM + 1).model == "naive"
+
+    def never(cfg):  # were the width let through, no model is built from it here
+        raise AssertionError("the config was accepted")
+
+    monkeypatch.setattr(cli, "_build_dataset", never)
+    out = tmp_path / "out"
+    code = main(["train", "--dataset", str(toy_tsv), "--set", "model=csann",
+                 "--set", f"embed_dim={CSANN_MAX_DIM + 1}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -303,6 +327,20 @@ class TestCmdTrain:
         out = tmp_path / "never"
         code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_dataset_exit_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "corpus.tsv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("tr\u00e8s bon\t1\nmauvais\t0\n".encode("latin-1"))
+        out = tmp_path / "out"
+        code = main(["train", "--dataset", str(path), "--seeds", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_dataset_path_key(self, tmp_path):

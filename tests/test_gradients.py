@@ -69,7 +69,7 @@ def _mixed_states(states, weights, noise, n_qubits):
 def shift_layer_backward(layer, obs, trace, g, noise=None):
     """layer_backward's four gradients by the parameter-shift rule."""
     u, zq, zk = trace.inputs, trace.zq, trace.zk
-    alpha, values = trace.attention.coefficients, trace.values
+    alpha, values = trace.coefficients, trace.values
     engine = trace.engine
     beta = g @ values.T
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - (alpha * beta).sum(1)[:, None])

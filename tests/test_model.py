@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_random_model
-from qsann import attention, baselines, model as model_mod, training
+from qsann import attention, baselines, data, model as model_mod, training
 from qsann.errors import ConfigurationError, EmptySequenceError
 from qsann.model import (
     ModelConfig,
@@ -77,6 +77,29 @@ class TestForward:
         assert len(pred.attention) == 2
         assert pred.attention[0].coefficients.shape == (2, 2)
 
+    @pytest.mark.parametrize("shots", [None, 64])
+    def test_exports_checked_matrices_with_the_traces_bits(self, rng, monkeypatch, shots):
+        model = build_random_model(rng, n_layers=2, vocab_size=VOCAB, scale=0.8)
+        checked = []
+        original = attention.AttentionMatrix.__post_init__
+
+        def check(matrix):
+            checked.append(matrix)
+            original(matrix)
+
+        monkeypatch.setattr(attention.AttentionMatrix, "__post_init__", check)
+        seeded = (lambda: np.random.default_rng(7)) if shots else (lambda: None)
+        for ids in ([3, 1, 3, 4], [5], list(rng.integers(0, VOCAB, 11))):
+            checked.clear()
+            pred = forward(ids, model, None, shots, seeded())
+            traces = model_mod.layer_traces(ids, model, None, shots, seeded())
+            assert len(pred.attention) == len(checked) == 2
+            for matrix, seen, trace in zip(pred.attention, checked, traces):
+                assert type(matrix) is attention.AttentionMatrix and matrix is seen
+                assert np.array_equal(matrix.coefficients, trace.coefficients)
+            (alone,) = model_mod.forward_many([ids], model, None, shots, seeded())
+            assert repr(pred.y_hat) == repr(alone.y_hat)
+
     def test_empty_sequence(self, rng):
         with pytest.raises(EmptySequenceError):
             forward([], build_random_model(rng))
@@ -138,16 +161,43 @@ def per_sentence_evaluate(samples, model, noise=None, shots=None, rng=None):
     return hits / len(samples), mean_loss
 
 
-def assert_same_predictions(got, expected, n_layers):
-    got = list(got)
-    assert len(got) == len(expected)
-    for new, (y_hat, layers) in zip(got, expected):
+def recording_attend(monkeypatch):
+    """Replace forward_many's attend with one that keeps each call's coefficients."""
+    calls = []
+    original = model_mod.attend
+
+    def record(xs, expectations, shots=None, rng=None):
+        out = original(xs, expectations, shots, rng)
+        calls.append(out[3])
+        return out
+
+    monkeypatch.setattr(model_mod, "attend", record)
+    return calls
+
+
+def sentence_coefficients(calls, sequences, window, n_layers):
+    """Each sentence's per-layer coefficients from forward_many's attend calls: per
+    window, per length group in order, one (B, S, S) call per layer."""
+    found = [[] for _ in sequences]
+    calls = iter(calls)
+    for groups in model_mod.length_groups(map(len, sequences), window):
+        for members in groups.values():
+            for _ in range(n_layers):
+                for i, coefficients in zip(members, next(calls), strict=True):
+                    found[i].append(coefficients)
+    assert next(calls, None) is None
+    return found
+
+
+def assert_same_predictions(got, coefficients, expected, n_layers):
+    assert len(got) == len(coefficients) == len(expected)
+    for new, layers_new, (y_hat, layers) in zip(got, coefficients, expected):
         assert repr(new.y_hat) == repr(y_hat)
         assert new.label == int(y_hat >= 0.5)
-        assert len(new.attention) == len(layers) == n_layers
-        for a, b in zip(new.attention, layers):
-            assert type(a) is attention.AttentionMatrix
-            assert np.array_equal(a.coefficients, b)
+        assert new.attention == ()
+        assert len(layers_new) == len(layers) == n_layers
+        for a, b in zip(layers_new, layers):
+            assert type(a) is np.ndarray and np.array_equal(a, b)
 
 
 VOCAB = 90  # more distinct words than one encoding block
@@ -190,8 +240,10 @@ class TestForwardMany:
         seeded = (lambda: np.random.default_rng(11)) if shots else (lambda: None)
         rng_ref, rng_new = seeded(), seeded()
         expected = list(per_sentence(sequences, model, noise, shots, rng_ref))
-        got = model_mod.forward_many(sequences, model, noise, shots, rng_new)
-        assert_same_predictions(got, expected, n_layers)
+        calls = recording_attend(monkeypatch)
+        got = list(model_mod.forward_many(sequences, model, noise, shots, rng_new))
+        found = sentence_coefficients(calls, sequences, window if shots is None else 1, n_layers)
+        assert_same_predictions(got, found, expected, n_layers)
         if shots:  # both passes drew the same numbers from their rngs
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         ref = per_sentence_evaluate(samples, model, noise, shots, seeded())
@@ -208,7 +260,7 @@ class TestForwardMany:
         for ids, (y_hat, layers) in zip(sequences, expected):
             traces = model_mod.layer_traces(ids, model, noise, shots, rng_new if shots else None)
             for trace, coefficients in zip(traces, layers):
-                assert np.array_equal(trace.attention.coefficients, coefficients)
+                assert np.array_equal(trace.coefficients, coefficients)
             y_new = model_mod.predict(model, traces[-1].outputs.mean(axis=0)).y_hat
             assert repr(y_new) == repr(y_hat)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -285,15 +337,30 @@ class TestForwardMany:
 
     @pytest.mark.parametrize("bad", [0, 40, -1])
     def test_checks_every_sequence_first(self, rng, monkeypatch, bad):
+        # the first bad sentence in pass order raises check_ids' error, before any Engine
         model = build_random_model(rng, vocab_size=VOCAB)
-        monkeypatch.setattr(attention, "ansatz_unitaries", None)  # never reached
+
+        def refuse(*args):
+            raise AssertionError("an Engine was built before the ids were checked")
+
+        monkeypatch.setattr(model_mod, "Engine", refuse)
         monkeypatch.setattr(model_mod, "WINDOW_TOKENS", 7)
         sequences = [ids for ids, _ in same_length_pass(rng)]
-        for wrong, error in (([2, VOCAB], IndexError), ([2, -1], IndexError),
-                             ([], EmptySequenceError)):
+        wrongs = ([2, VOCAB], [2, -1], [], [3, 10**30], [np.int64(-5), 1])
+        for wrong in wrongs:
+            with pytest.raises((IndexError, EmptySequenceError)) as want:
+                model.embeddings.check_ids(wrong)
+            for later in wrongs:
+                passed = list(sequences)
+                passed[bad] = wrong
+                if bad != -1:
+                    passed[-1] = later
+                with pytest.raises(want.type) as got:
+                    next(model_mod.forward_many(passed, model))
+                assert type(got.value) is want.type and str(got.value) == str(want.value)
             passed = list(sequences)
-            passed[bad] = wrong
-            with pytest.raises(error):
+            passed[bad] = [2, 1.5]  # in range, but no row id
+            with pytest.raises(IndexError):
                 next(model_mod.forward_many(passed, model))
 
     def test_no_sequences_no_predictions(self, rng):
@@ -301,7 +368,8 @@ class TestForwardMany:
 
     def test_peak_memory_does_not_grow_with_the_pass(self, rng):
         model = build_random_model(rng, n_layers=2, vocab_size=VOCAB)
-        sequences = [list(rng.integers(0, VOCAB, rng.integers(4, 13))) for _ in range(4800)]
+        # lengths cycle through 4..12, so that every window holds the same mix of lengths
+        sequences = [list(rng.integers(0, VOCAB, 4 + i % 9)) for i in range(4800)]
 
         def peak(count):
             tracemalloc.start()
@@ -463,3 +531,22 @@ def test_embedding_gradient_adds_repeated_words_in_order(rng, gamma):
         for pos, token in enumerate(ids):
             expected[token] += g[pos] + gamma_scale * xs[pos]
         assert np.array_equal(model_mod.embedding_gradient(model, ids, xs, g), expected)
+
+
+@pytest.mark.parametrize("kind", ["qsann", "csann"])
+def test_training_and_evaluation_build_no_attention_matrix(monkeypatch, kind):
+    def refuse(matrix):
+        raise AssertionError("an AttentionMatrix was built")
+
+    monkeypatch.setattr(attention.AttentionMatrix, "__post_init__", refuse)
+    ds = data.build_splits(data.make_separable_corpus(seed=3, n_samples=24), [0.5, 0.25, 0.25], 0)
+    settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 2,
+                "lam": 0.1, "gamma": 0.1, "dim": 6}
+    model = training.MODEL_KINDS[kind].init(settings, ds.vocabulary.size, None)
+    result = training.train(ds, model, training.TrainConfig(learning_rate=0.01, epochs=2, seed=0))
+    assert len(result.metrics) == 3
+    training.evaluate(ds.test, model)
+    if kind == "qsann":
+        training.evaluate(ds.test, model, NOISES[1], 16, np.random.default_rng(0))
+        with pytest.raises(AssertionError, match="AttentionMatrix"):  # export does build one
+            forward(ds.test[0].token_ids, model)
