@@ -17,9 +17,10 @@ the tests hold it to.
 A layer forward has two parts.  ``Engine(params, obs, noise)`` is the layer
 itself, built once per parameter setting: the noise, the circuits' column
 operators, U^dag E^dag(O) U and the effective observables, against which
-``Engine.measure`` measures each input row on its own.  ``attend`` is the
-step from those expectations for a stack of same-length sentences: shot
-sampling, attention coefficients and the residual.  ``layer_forward``
+``Engine.measure`` measures every forward's input rows, ENCODE_BLOCK at a
+time.  ``attend`` is the step from those expectations for a stack of
+same-length sentences: shot sampling, attention coefficients and the
+residual.  ``layer_forward``
 composes the two for one sentence and keeps the engine in its
 ``LayerTrace``, from which the backward pass reads everything it needs;
 ``model.forward_many`` shares one engine per layer across a whole pass and
@@ -38,6 +39,9 @@ import numpy as np
 from .ansatz import AnsatzSpec, ParamVector, ansatz_unitaries, column_operators, encode_batch
 from .errors import ConfigurationError, EmptySequenceError
 from .sim import NoiseChannel, PauliString, apply_channel_every_qubit, pauli_matrix
+
+# Rows encoded and measured at a time by Engine.measure, and swept at a time by the backward.
+ENCODE_BLOCK = 64
 
 @dataclass
 class QsalLayerParams:
@@ -236,12 +240,15 @@ class Engine:
         return np.einsum("...ra,...rka->...rk", states.conj(), moved).real
 
     def measure(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d).
-
-        Each row's expectations depend on that row alone.
-        """
-        encoded = self.prepare(inputs)
-        return encoded, np.clip(self.expect(encoded, self.effective), -1.0, 1.0)
+        """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d),
+        ENCODE_BLOCK rows at a time.  Each row's expectations depend on that row alone."""
+        encoded = np.empty((len(inputs), 2**self.n_qubits), dtype=np.complex128)
+        expectations = np.empty((len(inputs), len(self.effective)))
+        for start in range(0, len(inputs), ENCODE_BLOCK):
+            block = slice(start, start + ENCODE_BLOCK)
+            encoded[block] = states = self.prepare(inputs[block])
+            expectations[block] = self.expect(states, self.effective)
+        return encoded, np.clip(expectations, -1.0, 1.0, out=expectations)
 
 
 # ---------------------------------------------------------------------------

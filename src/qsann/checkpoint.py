@@ -2,26 +2,24 @@
 
 A checkpoint is a single self-describing JSON document: schema version,
 model kind, configuration, every parameter array (base64-encoded float64
-bytes plus shape), the vocabulary, the observable list for quantum models,
-and the dataset recipe (path, ratios, split seed) needed to rebuild
-compatible splits.  Any format change requires a schema version bump.
-Every artifact file goes through ``write_atomic``.
+bytes plus shape), the vocabulary, the observable list for quantum models
+(fixed by the geometry, so a loaded list must match it), and the dataset
+recipe (path, ratios, split seed) needed to rebuild compatible splits.
+Any format change requires a schema version bump.  Every artifact file goes
+through ``write_atomic``.
 """
 
 from __future__ import annotations
 
 import base64
-import dataclasses
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .attention import ObservableSet
 from .data import Vocabulary
 from .errors import ParseError
-from .sim import PauliString
 from .training import MODEL_KINDS, kind_of
 
 SCHEMA_VERSION = 1
@@ -84,10 +82,13 @@ def _build_model(doc: dict):
     if vocabulary.content_hash() != doc["vocab_sha256"]:
         raise ParseError("vocab_sha256 does not match the stored vocabulary")
     model = kind.init(doc["model_config"], vocabulary.size, None)  # zero arrays, filled below
-    if "observables" in doc:
-        observables = tuple(PauliString.from_str(text) for text in doc["observables"])
-        if observables != model.observables.observables:  # else keep the shared default set
-            model = dataclasses.replace(model, observables=ObservableSet(observables))
+    own = getattr(model, "observables", None)  # qsann's, fixed by the geometry
+    names = None if own is None else [str(obs) for obs in own.observables]
+    if "observables" in doc and (names is None or doc["observables"] != names):
+        raise ParseError(
+            f"checkpoint stores observables {doc['observables']!r}, but a {kind.name} model "
+            f"of its geometry measures {names or 'none'}"
+        )
     params = kind.params(model)
     if set(doc["params"]) != set(params):
         raise ParseError(

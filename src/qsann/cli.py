@@ -27,7 +27,7 @@ import numpy as np
 
 from . import checkpoint, data, model as model_mod, training
 from .errors import ConfigurationError, ParseError, QsannError
-from .sim import NOISE_KINDS, NoiseChannel
+from .sim import NoiseChannel
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "QSANN_OUTPUT_ROOT"
@@ -96,17 +96,12 @@ class RunConfig:
                 f"embed_dim {self.embed_dim}: csann's three float64 projections of that size "
                 f"exceed the {model_mod.ENGINE_MEMORY_BUDGET}-byte budget"
             )
-        if self.noise_kind is not None and self.model != "qsann":
-            raise ConfigurationError("noise settings apply only to the quantum model")
+        if (self.noise_kind is None) != (self.noise_p is None):
+            raise ConfigurationError("noise_kind and noise_p must be given together")
         if self.noise_kind is not None:
-            if self.noise_kind not in NOISE_KINDS:
-                raise ConfigurationError(f"noise_kind must be one of {NOISE_KINDS}")
-            if self.noise_p is None:
-                raise ConfigurationError("noise_kind requires noise_p")
-        elif self.noise_p is not None:
-            raise ConfigurationError("noise_p requires noise_kind")
-        if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
-            raise ConfigurationError("noise_p must be in [0, 1]")
+            if self.model != "qsann":
+                raise ConfigurationError("noise settings apply only to the quantum model")
+            NoiseChannel(self.noise_kind, self.noise_p)  # checks the kind and the level
         # delegate the numeric training-field checks
         self.train_config(seed=self.seeds[0])
 
@@ -235,6 +230,23 @@ def _build_dataset(cfg: RunConfig) -> data.Dataset:
     )
 
 
+def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Dataset]:
+    """(output directory, dataset) of a training command, its config written there once
+    the dataset is built and its float64 embedding table fits the memory budget."""
+    hint = args.preset or (Path(args.config).stem if args.config else "run")
+    out_dir = _resolve_out_dir(args, f"{hint}_{suffix}")
+    dataset = _build_dataset(cfg)
+    need = 8 * dataset.vocabulary.size * cfg.embed_dim
+    if need > model_mod.ENGINE_MEMORY_BUDGET:
+        raise ConfigurationError(
+            f"embed_dim {cfg.embed_dim}: a {dataset.vocabulary.size}-word embedding table "
+            f"needs {need} bytes, over the {model_mod.ENGINE_MEMORY_BUDGET}-byte budget"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "config.json", cfg.to_dict())
+    return out_dir, dataset
+
+
 def _dataset_manifest(cfg: RunConfig, dataset: data.Dataset) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -311,11 +323,7 @@ def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dirs: list[Path])
 
 def cmd_train(args) -> int:
     cfg = RunConfig.from_dict(_load_config_sources(args))
-    hint = args.preset or (Path(args.config).stem if args.config else "run")
-    out_dir = _resolve_out_dir(args, f"{hint}_{cfg.model}")
-    dataset = _build_dataset(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json", cfg.to_dict())
+    out_dir, dataset = _start_training(args, cfg, cfg.model)
     _write_json(out_dir / "manifest.json", _dataset_manifest(cfg, dataset))
     summary = _run_experiment(cfg, dataset, [out_dir])
     _write_json(out_dir / "summary.json", summary)
@@ -401,50 +409,40 @@ def cmd_attention(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    values = _load_config_sources(args)
-    values.pop("noise_kind", None)
-    values.pop("noise_p", None)
-    cfg = RunConfig.from_dict(values)
-    if cfg.model != "qsann":
-        raise ConfigurationError("noise sweeps apply only to the quantum model")
+    # the base config is noiseless: each point sets its own channel and level
+    cfg = RunConfig.from_dict({**_load_config_sources(args), "noise_kind": None, "noise_p": None})
     p_values = _parse_list(args.p_list, float, "numbers")
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"noise level {p} outside [0, 1]")
     names = [f"{p:g}" for p in p_values]  # each level's point directory is named by it
     if len(set(names)) != len(names):
         raise ConfigurationError(f"noise levels {args.p_list!r} share directory names {names}")
     channels = _parse_list(args.channels, str, "channel kinds")
-    for kind in channels:
-        if kind not in NOISE_KINDS:
-            raise ConfigurationError(f"noise channel must be one of {NOISE_KINDS}")
-    hint = args.preset or (Path(args.config).stem if args.config else "run")
-    out_dir = _resolve_out_dir(args, f"{hint}_noise_sweep")
-    dataset = _build_dataset(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "config.json", cfg.to_dict())
+    # RunConfig checks every point's model, channel kind and level before anything is written
+    point_configs = {
+        (kind, p): dataclasses.replace(cfg, noise_kind=kind, noise_p=p)
+        for kind in channels
+        for p in p_values
+    }
+    out_dir, dataset = _start_training(args, cfg, "noise_sweep")
 
-    points, runs = [], {}  # a noiseless level is trained once, into every channel's directory
-    for kind in channels:
-        for p in p_values:
-            key = (kind if p > 0 else None, p)
-            if key not in runs:
-                noise = {"noise_kind": kind, "noise_p": p} if p > 0 else {}
-                dirs = [out_dir / f"{k}_p{p:g}" for k in ([kind] if p > 0 else channels)]
-                runs[key] = _run_experiment(dataclasses.replace(cfg, **noise), dataset, dirs)
-            summary = runs[key]
-            accs = [row["final_test_acc"] for row in summary["per_seed"]]
-            points.append(
-                {
-                    "channel": kind,
-                    "p": p,
-                    "accuracies": accs,
-                    "mean": summary["mean_test_acc"],
-                    "std": summary["std_test_acc"],
-                    "aborted": summary["aborted"],
-                }
-            )
-            print(f"{kind} p={p:g}: mean test acc {summary['mean_test_acc']}")
+    points, runs = [], {}  # a noiseless level runs cfg once, into every channel's directory
+    for (kind, p), point_cfg in point_configs.items():
+        key = (kind if p > 0 else None, p)
+        if key not in runs:
+            dirs = [out_dir / f"{k}_p{p:g}" for k in ([kind] if p > 0 else channels)]
+            runs[key] = _run_experiment(point_cfg if p > 0 else cfg, dataset, dirs)
+        summary = runs[key]
+        accs = [row["final_test_acc"] for row in summary["per_seed"]]
+        points.append(
+            {
+                "channel": kind,
+                "p": p,
+                "accuracies": accs,
+                "mean": summary["mean_test_acc"],
+                "std": summary["std_test_acc"],
+                "aborted": summary["aborted"],
+            }
+        )
+        print(f"{kind} p={p:g}: mean test acc {summary['mean_test_acc']}")
     sweep = {
         "schema_version": SCHEMA_VERSION,
         "model": cfg.model,

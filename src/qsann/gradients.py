@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as model_mod
+from . import attention, model as model_mod
 from .ansatz import adjoint_operator_gradients, adjoint_row_gradients
 from .attention import LayerTrace
 from .model import QsannModel, model_param_dict  # re-exported
@@ -90,8 +90,8 @@ def layer_backward(
     # sum_s w_k[s] |enc_s><enc_s|, and each word's encoder sweep (its angles are the
     # inputs) against M_s.
     d_u, mixed = g.copy(), 0.0
-    for start in range(0, len(u), model_mod.ENCODE_BLOCK):
-        block = slice(start, start + model_mod.ENCODE_BLOCK)
+    for start in range(0, len(u), attention.ENCODE_BLOCK):
+        block = slice(start, start + attention.ENCODE_BLOCK)
         states = trace.encoded[block]
         mixed = mixed + (weights[:, block, None] * states).swapaxes(1, 2) @ states.conj()
         duals = np.einsum("ks,kas->sa", weights[:, block], engine.effective @ states.T)

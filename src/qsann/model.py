@@ -10,6 +10,7 @@ Predictions come from ``forward_many``, which evaluates a pass of sentences
 in vocabulary space and attends them a length group at a time;
 ``layer_traces`` keeps each layer's trace for the backward pass, and
 ``forward`` reads one sentence's traces to export its attention matrices.
+A model's observables follow from its geometry (``ObservableSet.default``).
 
 This head, its penalties and their gradients are defined here once for every
 model kind: the functions below take any model with ``head_w``, ``head_b``,
@@ -40,8 +41,6 @@ from .sim import NoiseChannel
 
 # Memory the attention engine's operator stacks may take (see ModelConfig).
 ENGINE_MEMORY_BUDGET = 1 << 30
-# Rows encoded and measured at a time in forward_many.
-ENCODE_BLOCK = 64
 # Tokens of the consecutive sentences that forward_many and regularization batch together.
 WINDOW_TOKENS = 2048
 # Standard deviation of every freshly drawn parameter (see init_parameters).
@@ -50,7 +49,7 @@ INIT_STD = 0.01
 
 def sigmoid(z: float) -> float:
     if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
+        return float(1.0 / (1.0 + np.exp(-z)))
     e = np.exp(z)
     return float(e / (1.0 + e))
 
@@ -108,7 +107,6 @@ class QsannModel:
     head_w: np.ndarray
     head_b: np.ndarray
     embeddings: EmbeddingTable
-    observables: ObservableSet
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -120,8 +118,11 @@ class QsannModel:
         if self.embeddings.dim != cfg.embed_dim:
             raise ConfigurationError("embedding dimension disagrees with config")
         check_head(self)
-        if self.observables.size != cfg.embed_dim:
-            raise ConfigurationError("need one observable per embedding dimension")
+
+    @property
+    def observables(self) -> ObservableSet:
+        """The value circuit's observables, fixed by the geometry and shared by its models."""
+        return ObservableSet.default(self.config.n_qubits, self.config.embed_dim)
 
     @property
     def lam(self) -> float:
@@ -148,7 +149,6 @@ def init_model(config: ModelConfig, vocab_size: int, rng: np.random.Generator | 
         head_w=np.zeros(config.embed_dim),
         head_b=np.zeros(1),
         embeddings=EmbeddingTable(np.zeros((vocab_size, config.embed_dim))),
-        observables=ObservableSet.default(config.n_qubits, config.embed_dim),
     )
     if rng is not None:
         init_parameters(model_param_dict(model), rng)
@@ -238,14 +238,6 @@ def length_groups(lengths, limit: int) -> Iterator[dict[int, list[int]]]:
     yield groups
 
 
-def _measured(engine: Engine, rows: np.ndarray) -> np.ndarray:
-    """Clipped expectations of input rows, ENCODE_BLOCK rows at a time: (R, 2 + d)."""
-    return np.concatenate([
-        engine.measure(rows[start : start + ENCODE_BLOCK])[1]
-        for start in range(0, len(rows), ENCODE_BLOCK)
-    ])
-
-
 def forward_many(
     sequences,
     model: QsannModel,
@@ -278,7 +270,7 @@ def forward_many(
     present = np.zeros(len(rows), dtype=bool)
     present[distinct] = True  # IndexError for an id that is no integer
     engines = [Engine(layer, model.observables, noise) for layer in model.layers]
-    first = _measured(engines[0], rows[present])
+    first = engines[0].measure(rows[present])[1]
     slot = np.cumsum(present) - 1  # each present word's row of `first`
     for window in length_groups(map(len, sequences), WINDOW_TOKENS if shots is None else 1):
         predictions = {}
@@ -286,7 +278,7 @@ def forward_many(
             ids = np.array([sequences[i] for i in members])  # (B, S)
             xs = attend(rows[ids], first[slot[ids]], shots, rng)[-1]
             for engine in engines[1:]:
-                expectations = _measured(engine, xs.reshape(-1, xs.shape[-1]))
+                expectations = engine.measure(xs.reshape(-1, xs.shape[-1]))[1]
                 xs = attend(xs, expectations.reshape(*ids.shape, -1), shots, rng)[-1]
             for i, pooled in zip(members, xs.mean(axis=1)):
                 predictions[i] = predict(model, pooled)

@@ -180,7 +180,7 @@ class NoiseChannel:
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
-            raise ConfigurationError(f"unknown noise channel kind {self.kind!r}")
+            raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"noise level p must be in [0, 1], got {self.p}")
 

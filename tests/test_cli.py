@@ -273,6 +273,16 @@ def test_csann_projections_checked_against_the_budget(tmp_path, toy_tsv, capsys,
         ["train", "--set", "seeds=[0,0]"],
         ["noise-sweep", "--channels", "depolarizing,depolarizing"],
         ["train", "--seeds", "1,01"],
+        ["noise-sweep", "--p-list", "0.1,1.5"],
+        ["noise-sweep", "--channels", "depolarizing,bogus"],
+        ["noise-sweep", "--p-list", "0", "--channels", "bogus"],
+        ["train", "--preset", "nope"],
+        ["train", "--set", "epochs"],
+        ["train", "--set", "model=bert"],
+        ["train", "--set", "seeds=[]"],
+        ["train", "--set", "noise_kind=bogus", "--set", "noise_p=0.1"],
+        ["train", "--set", "noise_kind=depolarizing"],
+        ["train", "--set", "noise_kind=depolarizing", "--set", "noise_p=1.5"],
     ],
 )
 def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
@@ -283,6 +293,42 @@ def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_embedding_table_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
+    # a vocab x embed_dim float64 table; checked once the dataset gives the vocabulary
+    vocab = cli._build_dataset(RunConfig(str(toy_tsv))).vocabulary.size
+    widest = model_mod.ENGINE_MEMORY_BUDGET // (8 * vocab)
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):  # nothing of that width is allocated, accepted or not
+        raise Reached
+
+    monkeypatch.setattr(cli, "_run_experiment", reached)
+    argv = ["train", "--dataset", str(toy_tsv), "--set", "model=naive", "--out"]
+    with pytest.raises(Reached):
+        main(argv + [str(tmp_path / "widest"), "--set", f"embed_dim={widest}"])
+    out = tmp_path / "over"
+    code = main(argv + [str(out), "--set", f"embed_dim={widest + 1}"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "embedding table" in err
     assert not out.exists()
 
 
@@ -546,18 +592,34 @@ MALFORMED_RECIPES = {
     "split-seed-negative": lambda recipe: {**recipe, "split_seed": -1},
     "noise-p-string": lambda recipe: {**recipe, "noise_kind": "depolarizing", "noise_p": "x"},
     "no-ratios": lambda recipe: {k: v for k, v in recipe.items() if k != "ratios"},
+    "no-source-path": lambda recipe: {k: v for k, v in recipe.items() if k != "source_path"},
+}
+
+
+def _with_params(doc, **params):
+    return {**doc, "params": {k: v for k, v in {**doc["params"], **params}.items() if v}}
+
+
+MALFORMED_DOCS = {
+    "unknown-kind": lambda doc: {**doc, "model_kind": "bert"},
+    "missing-array": lambda doc: _with_params(doc, head_w=None),
+    "bad-base64": lambda doc: _with_params(doc, head_w={**doc["params"]["head_w"], "data": "a"}),
+    "reordered-observables": lambda doc: {**doc, "observables": doc["observables"][::-1]},
 }
 
 
 class TestCheckpointRecipe:
     def run(self, command, path, tmp_path, capsys):
-        extra = ["--indices", "0", "--out", str(tmp_path / "csv")] if command == "attention" else []
+        command = [command] if isinstance(command, str) else command
+        csv_dir = tmp_path / "csv"
+        extra = ["--indices", "0", "--out", str(csv_dir)] if command[0] == "attention" else []
         capsys.readouterr()
-        code = main([command, "--checkpoint", str(path)] + extra)
+        code = main(command + ["--checkpoint", str(path)] + extra)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not csv_dir.exists()
 
     @pytest.mark.parametrize("command", ["eval", "attention"])
     @pytest.mark.parametrize("recipe", sorted(MALFORMED_RECIPES))
@@ -570,11 +632,14 @@ class TestCheckpointRecipe:
         self.run(command, path, tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["eval", "attention"])
-    @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
-    @pytest.mark.parametrize("key,value", [("lam", float("nan")), ("gamma", float("inf")),
-                                           ("lam", -0.1), ("lam", "x"), ("gamma", None)])
-    def test_bad_penalty_exit_two(self, rng, tmp_path, toy_checkpoint, capsys,
-                                  command, kind, key, value):
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_DOCS))
+    def test_malformed_model_exit_two(self, tmp_path, toy_checkpoint, capsys, command, edit):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(MALFORMED_DOCS[edit](json.loads(toy_checkpoint.read_text()))))
+        self.run(command, path, tmp_path, capsys)
+
+    def saved(self, rng, tmp_path, toy_checkpoint, kind):
+        """A fresh model of that kind saved with the toy checkpoint's vocabulary and recipe."""
         settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 1,
                     "lam": 0.0, "gamma": 0.0, "dim": 6}
         trained = json.loads(toy_checkpoint.read_text())
@@ -582,9 +647,31 @@ class TestCheckpointRecipe:
         path = tmp_path / "ckpt.json"
         model = training.MODEL_KINDS[kind].init(settings, vocab.size, rng)
         save_checkpoint(path, model, vocab, trained["dataset"])
-        doc = json.loads(path.read_text())
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("command", ["eval", "attention"])
+    @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
+    @pytest.mark.parametrize("key,value", [("lam", float("nan")), ("gamma", float("inf")),
+                                           ("lam", -0.1), ("lam", "x"), ("gamma", None)])
+    def test_bad_penalty_exit_two(self, rng, tmp_path, toy_checkpoint, capsys,
+                                  command, kind, key, value):
+        path, doc = self.saved(rng, tmp_path, toy_checkpoint, kind)
         doc["model_config"][key] = value
         path.write_text(json.dumps(doc))
+        self.run(command, path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "attention"])
+    def test_baseline_with_observables_exit_two(self, rng, tmp_path, toy_checkpoint, capsys,
+                                                 command):
+        path, doc = self.saved(rng, tmp_path, toy_checkpoint, "csann")
+        doc["observables"] = json.loads(toy_checkpoint.read_text())["observables"]
+        path.write_text(json.dumps(doc))
+        self.run(command, path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", [["eval", "--shots", "8"], ["attention"]])
+    def test_quantum_only_commands_refuse_a_baseline(self, rng, tmp_path, toy_checkpoint,
+                                                     capsys, command):
+        path, _ = self.saved(rng, tmp_path, toy_checkpoint, "csann")
         self.run(command, path, tmp_path, capsys)
 
 

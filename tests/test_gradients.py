@@ -241,11 +241,47 @@ class TestLongSentences:
         g = rng.normal(size=u.shape)
         trace = layer_forward(u, layer, obs, noise)
         blocked = layer_backward(trace, g)
-        monkeypatch.setattr(model_mod, "ENCODE_BLOCK", len(u))
+        monkeypatch.setattr(attention, "ENCODE_BLOCK", len(u))
         whole = layer_backward(trace, g)
         assert np.array_equal(blocked[3], whole[3])
         for a, b in zip(blocked[:3], whole[:3]):
             assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("noise", [None, NoiseChannel("depolarizing", 0.1)])
+    def test_forward_measures_long_sentences_in_blocks(self, rng, monkeypatch, noise):
+        # Engine.measure encodes and measures ENCODE_BLOCK words at a time, with the bits
+        # of one whole-sentence block; the backward's block sums differ only in rounding
+        model = build_random_model(rng, n_qubits=3, n_layers=2, vocab_size=40, scale=0.8)
+        ids = list(rng.integers(0, 40, 150))
+        measured = []
+        original = attention.Engine.expect
+
+        def expect(self, states, ops):
+            measured.append(len(states))
+            return original(self, states, ops)
+
+        monkeypatch.setattr(attention.Engine, "expect", expect)
+
+        def run():
+            trace = layer_forward(model.embeddings.rows[ids], model.layers[0], model.observables,
+                                  noise)
+            grads = bundle_as_dict(backward((ids, 1), model, noise))
+            return trace, grads, model_mod.forward(ids, model, noise)
+
+        blocked = run()
+        assert max(measured) == attention.ENCODE_BLOCK < len(ids)
+        monkeypatch.setattr(attention, "ENCODE_BLOCK", 10**6)
+        whole = run()
+        for name in ("encoded", "zq", "zk", "values", "coefficients", "outputs"):
+            assert np.array_equal(getattr(blocked[0], name), getattr(whole[0], name)), name
+        for key, grad in blocked[1].items():
+            if key.startswith("layer"):
+                assert np.max(np.abs(grad - whole[1][key])) < 1e-12, key
+            else:
+                assert np.array_equal(grad, whole[1][key]), key
+        assert repr(blocked[2].y_hat) == repr(whole[2].y_hat)
+        for a, b in zip(blocked[2].attention, whole[2].attention, strict=True):
+            assert np.array_equal(a.coefficients, b.coefficients)
 
 
 class TestEngines:
@@ -282,7 +318,7 @@ class TestOperatorMemory:
         layers = [random_layer(rng, *geometry[:3]) for _ in range(cfg.n_layers)]
         model = model_mod.QsannModel(
             cfg, layers, rng.normal(0.0, 0.5, d), np.zeros(1),
-            EmbeddingTable(rng.normal(0.0, 0.5, (8, d))), ObservableSet.default(geometry[0], d),
+            EmbeddingTable(rng.normal(0.0, 0.5, (8, d))),
         )
         sample = (list(rng.integers(0, 8, 6)), 1)
         tracemalloc.start()

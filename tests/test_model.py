@@ -57,6 +57,17 @@ class TestForward:
         expected = sigmoid(float(model.head_w @ outputs[0] + model.head_b[0]))
         assert pred.y_hat == pytest.approx(expected, abs=1e-12)
 
+    def test_predictions_are_python_floats_on_both_sides(self, rng):
+        # sigmoid's two branches (z >= 0 and z < 0) return the same type
+        for z in (0.0, 2.5, -2.5):
+            assert type(model_mod.sigmoid(z)) is float
+        model = build_random_model(rng)
+        for bias in (5.0, -5.0):
+            model.head_b[0] = bias
+            preds = list(model_mod.forward_many([[0], [1, 2], [3, 3, 4]], model))
+            assert [type(pred.y_hat) for pred in preds] == [float] * 3
+            assert [pred.label for pred in preds] == [int(bias > 0)] * 3
+
     def test_permutation_invariance(self, rng):
         model = build_random_model(rng)
         ids = [1, 2, 3, 4]
@@ -210,7 +221,7 @@ def vocabulary_pass(rng):
     for _ in range(30):
         sequences.append(list(rng.integers(0, VOCAB, rng.integers(1, 9))))
     sequences.append(list(range(VOCAB)))
-    assert len(np.unique(np.concatenate(sequences))) > model_mod.ENCODE_BLOCK
+    assert len(np.unique(np.concatenate(sequences))) > attention.ENCODE_BLOCK
     return [(ids, int(rng.integers(0, 2))) for ids in sequences]
 
 
@@ -327,13 +338,13 @@ class TestForwardMany:
         training.evaluate(samples, model)
         assert len(unitary_calls) == n_layers
         distinct = len(np.unique(np.concatenate([ids for ids, _ in samples])))
-        blocks = -(-distinct // model_mod.ENCODE_BLOCK)
+        blocks = -(-distinct // attention.ENCODE_BLOCK)
         first, deeper = prepared_rows[:blocks], prepared_rows[blocks:]
         assert sum(first) == distinct
-        assert max(first) == model_mod.ENCODE_BLOCK
+        assert max(first) == attention.ENCODE_BLOCK
         tokens = sum(len(ids) for ids, _ in samples)
         assert sum(deeper) == (n_layers - 1) * tokens
-        assert all(rows <= model_mod.ENCODE_BLOCK for rows in deeper)
+        assert all(rows <= attention.ENCODE_BLOCK for rows in deeper)
 
     @pytest.mark.parametrize("bad", [0, 40, -1])
     def test_checks_every_sequence_first(self, rng, monkeypatch, bad):
@@ -497,7 +508,6 @@ class TestModelValidation:
                 head_w=np.zeros(5),
                 head_b=np.zeros(1),
                 embeddings=model.embeddings,
-                observables=model.observables,
             )
 
     def test_init_model_shapes(self, rng):
