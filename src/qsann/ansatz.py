@@ -10,14 +10,16 @@ a Hadamard layer.
 A column's rotations commute, so each column is one 2**n x 2**n operator,
 the Kronecker product of its rotations (times the ring's permutation when
 a ring precedes it); a circuit's unitary is their ordered product.  The
-encoder runs in closed form on state rows; the gate-by-gate kernels serve
-only ``circuit_expectation`` and ``param_shift_grad``.
+gate-by-gate kernels serve only ``circuit_expectation`` and ``param_shift_grad``.
+The encoder runs in closed form on real rows: RX(a)|+> = exp(-i a/2)|+> and
+the later columns are real, so ``encode_batch`` drops that global phase
+(``encode_input`` keeps it) and the encoder's RX angles have no gradient.
 
 Gradients come from adjoint sweeps (Jones & Gacon, arXiv:2009.02823): with
 state rho_l and observable O_l both carried to column l, the derivative by
 its angle q is Im Tr[P_q rho_l O_l], P_q the column's Pauli on qubit q; as
 rho_l O_l = V_l (rho U^dag O U) V_l^dag for U = W V_l, V_l columns 0..l, each
-circuit carries one operator forward.
+circuit carries one operator forward; the encoder's carries its real rows back.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def run_ansatz_batch(amps: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _cnot_ring(n_qubits: int) -> np.ndarray:
-    """Permutation matrix of the CNOT ring (read-only, cached per qubit count)."""
-    basis = np.eye(2**n_qubits, dtype=np.complex128)
+    """Real permutation matrix of the CNOT ring (read-only, cached per qubit count)."""
+    basis = np.eye(2**n_qubits)
     for q in range(n_qubits):
         basis = apply_cnot_batch(basis, q, (q + 1) % n_qubits, n_qubits)
     ring = basis.T  # row j is Ring|j>, the j-th column of Ring
@@ -213,33 +215,34 @@ def _ry_column(amps: np.ndarray, half_angles: np.ndarray) -> np.ndarray:
 def adjoint_row_gradients(
     spec: AnsatzSpec, angles: np.ndarray, states: np.ndarray, duals: np.ndarray
 ) -> np.ndarray:
-    """(rows, param_count) gradients of <psi_s|M_s|psi_s> by each row's angles, for states
-    psi_s that end with the ansatz of angle row s and duals lambda_s = M_s psi_s."""
+    """(rows, param_count) gradients of psi_s^T Re(M_s) psi_s by each row's angles, for real
+    encoder rows psi_s of angle row s and duals lambda_s = Re(M_s) psi_s: an RY angle's is
+    Im <lambda|Y_q|psi> = sum_r sign[q, r] lambda[r] psi[flip[q, r]].  The RX column sets only
+    the global phase, so its gradients are zero and the sweep ends at the second column."""
     n, rows = spec.n_qubits, states.shape[0]
+    flips, phases = _generators("RY", n)
+    signs = phases.imag
     pair = np.concatenate([states, duals])  # undo both with one kernel call
     undo = -0.5 * np.tile(angles, (2, 1)).reshape(2 * rows, spec.depth + 2, n)
-    grads = np.empty((rows, spec.depth + 2, n))
-    for column, (kind, ring) in reversed(list(enumerate(_columns(spec)))):
-        flips, phases = _generators(kind, n)  # <lambda|P_q|psi>, P_q as for the operators
-        grads[:, column] = (pair[rows:, None].conj() * phases * pair[:rows, flips]).sum(-1).imag
-        if column:  # every column after the first is RY; the first needs no undo
+    grads = np.zeros((rows, spec.depth + 2, n))
+    for column in range(spec.depth + 1, 0, -1):
+        grads[:, column] = (pair[rows:, None] * signs * pair[:rows, flips]).sum(-1)
+        if column > 1:
             pair = _ry_column(pair, undo[:, column])
-            if ring:
+            if n > 1:
                 pair = pair @ _cnot_ring(n)
     return grads.reshape(rows, -1)
 
 
 def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Encode rows of ``inputs`` as states: Hadamard layer, then the ansatz.  As
-    RY(b) RX(a) |+> = exp(-i a / 2) RY(b) |+>, the first two columns leave a
-    product state; each deeper column is the ring and a broadcast RY per qubit."""
+    """Encode rows of ``inputs`` as real states: Hadamard layer, then the ansatz, less its
+    global phase.  RY(b) RX(a) |+> = exp(-i a / 2) RY(b) |+>, so the first two columns leave a
+    real product state times exp(-i sum(a) / 2); each deeper column is the ring and real RYs."""
     inputs = _check_width(spec, np.atleast_2d(inputs))
     rows, n = inputs.shape[0], spec.n_qubits
     half = 0.5 * inputs.reshape(rows, spec.depth + 2, n)
     cos, sin = np.cos(half[:, 1]), np.sin(half[:, 1])
-    qubits = np.stack([cos - sin, sin + cos], axis=-1) * (
-        np.exp(-1j * half[:, 0]) / np.sqrt(2.0)
-    )[..., None]  # (rows, n, 2)
+    qubits = np.stack([cos - sin, sin + cos], axis=-1) / np.sqrt(2.0)  # (rows, n, 2)
     amps = qubits[:, 0]
     for q in range(1, n):
         amps = (amps[:, :, None] * qubits[:, q, None, :]).reshape(rows, -1)
@@ -251,8 +254,10 @@ def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
 
 
 def encode_input(x, spec: AnsatzSpec) -> StateVector:
-    """Encode one input vector of length n*(depth+2) as an n-qubit state."""
-    return StateVector(spec.n_qubits, encode_batch(_as_angles(x, spec), spec)[0])
+    """Encode one input vector of length n*(depth+2) as an n-qubit state, global phase included."""
+    angles = _as_angles(x, spec)
+    phase = np.exp(-0.5j * angles[: spec.n_qubits].sum())  # of the first column's RX on |+>
+    return StateVector(spec.n_qubits, phase * encode_batch(angles, spec)[0])
 
 
 def circuit_expectation(

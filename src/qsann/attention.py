@@ -11,20 +11,20 @@ With noise, a single-qubit channel acts on every qubit after each of the
 four circuits (encoder, query, key, value).  One engine serves pure and
 noisy layers in the Heisenberg picture: the circuits and channels act on
 observables, and the only state simulated per word is its encoder state,
-which stays pure.  The density-matrix kernels in ``sim`` are the reference
-the tests hold it to.
+which stays pure and, up to a global phase, real.  So a word's expectation
+of a Hermitian M is psi^T Re(M) psi of its real row psi.  The density-matrix
+kernels in ``sim`` are the reference the tests hold it to.
 
 A layer forward has two parts.  ``Engine(params, obs, noise)`` is the layer
 itself, built once per parameter setting: the noise, the circuits' column
-operators, U^dag E^dag(O) U and the effective observables, against which
-``Engine.measure`` measures every forward's input rows, ENCODE_BLOCK at a
-time.  ``attend`` is the step from those expectations for a stack of
+operators, U^dag E^dag(O) U and Re(M) of the effective observables M, against
+which ``Engine.measure`` measures every forward's input rows, ENCODE_BLOCK at
+a time.  ``attend`` is the step from those expectations for a stack of
 same-length sentences: shot sampling, attention coefficients and the
-residual.  ``layer_forward``
-composes the two for one sentence and keeps the engine in its
-``LayerTrace``, from which the backward pass reads everything it needs;
-``model.forward_many`` shares one engine per layer across a whole pass and
-attends its sentences a length group at a time.  Coefficients stay plain
+residual.  ``layer_forward`` composes the two for one sentence and keeps the
+engine in its ``LayerTrace``, from which the backward pass reads everything it
+needs; ``model.forward_many`` shares one engine per layer across a whole pass
+and attends its sentences a length group at a time.  Coefficients stay plain
 (S, S) arrays; a checked ``AttentionMatrix`` is built only for export
 (``gpqsa_coefficients`` and ``model.forward``).
 """
@@ -185,11 +185,11 @@ class AttentionMatrix:
 class Engine:
     """One layer's circuits and measured quantities, with or without noise.
 
-    A word's expectation of O is <enc|M|enc> with M = E^dag(U^dag E^dag(O) U),
-    measured on its pure encoder state, where U is the query, key or value
-    circuit and E the channel on every qubit (the identity without noise or
-    at p = 0).  Nothing here depends on the words, so one engine serves every
-    sentence of a pass.
+    A word's expectation of O is <enc|M|enc> = enc^T Re(M) enc on its real
+    encoder row, with M = E^dag(U^dag E^dag(O) U), where U is the query, key or
+    value circuit and E the channel on every qubit (the identity without noise
+    or at p = 0).  Nothing here depends on the words, so one engine serves
+    every sentence of a pass.
     """
 
     def __init__(
@@ -209,12 +209,13 @@ class Engine:
         self.observed = obs.under(self.noise)  # E^dag(O), shared by every engine of obs
         self.circuits, observables = measured_quantities(obs.size)
         u = unitaries[self.circuits]  # each measured quantity's circuit
-        # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and M of each
+        # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and Re(M) of each as
+        # one contiguous (2**n, K 2**n) matrix: for a real row psi, <psi|M|psi> = psi^T Re(M) psi
         self.heisenberg = u.conj().swapaxes(-1, -2) @ self.observed[observables] @ u
-        self.effective = self.apply(self.heisenberg)
+        self.measured = np.concatenate(self.apply(self.heisenberg).real.swapaxes(1, 2), axis=1)
 
     def prepare(self, inputs: np.ndarray) -> np.ndarray:
-        """Pure encoder states of the input rows, (rows, 2**n)."""
+        """Real encoder states of the input rows, (rows, 2**n)."""
         return encode_batch(inputs, self.enc_spec)
 
     def channel(self, rhos: np.ndarray) -> np.ndarray:
@@ -231,23 +232,24 @@ class Engine:
             return ops
         return apply_channel_every_qubit(ops, self.noise, self.n_qubits, adjoint=True)
 
-    def expect(self, states: np.ndarray, ops: np.ndarray) -> np.ndarray:
-        """Re <psi|A|psi> of every state row for every operator.
+    def moved(self, states: np.ndarray) -> np.ndarray:
+        """(R, K, 2**n) Re(M_k) psi of each real row psi.  Each row is its own BLAS product,
+        so its bits do not depend on the rows beside it (one 2-D product of all rows would)."""
+        return (states[:, None, :] @ self.measured).reshape(len(states), -1, states.shape[-1])
 
-        ``states`` (..., R, 2**n) and ``ops`` (..., K, 2**n, 2**n) give (..., R, K).
-        """
-        moved = np.einsum("...kab,...rb->...rka", ops, states)
-        return np.einsum("...ra,...rka->...rk", states.conj(), moved).real
+    def expect(self, states: np.ndarray) -> np.ndarray:
+        """(R, K) <psi|M_k|psi> = psi^T Re(M_k) psi of each real row for each quantity."""
+        return (self.moved(states) * states[:, None, :]).sum(-1)
 
     def measure(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, 2 + d),
+        """(real encoder states, clipped exact expectations) of input rows: (R, 2**n), (R, K),
         ENCODE_BLOCK rows at a time.  Each row's expectations depend on that row alone."""
-        encoded = np.empty((len(inputs), 2**self.n_qubits), dtype=np.complex128)
-        expectations = np.empty((len(inputs), len(self.effective)))
+        encoded = np.empty((len(inputs), 2**self.n_qubits))
+        expectations = np.empty((len(inputs), len(self.circuits)))
         for start in range(0, len(inputs), ENCODE_BLOCK):
             block = slice(start, start + ENCODE_BLOCK)
             encoded[block] = states = self.prepare(inputs[block])
-            expectations[block] = self.expect(states, self.effective)
+            expectations[block] = self.expect(states)
         return encoded, np.clip(expectations, -1.0, 1.0, out=expectations)
 
 
@@ -309,7 +311,7 @@ class LayerTrace:
     """
 
     inputs: np.ndarray  # (S, d) layer inputs
-    encoded: np.ndarray  # (S, 2**n) pure encoder states
+    encoded: np.ndarray  # (S, 2**n) real encoder states, global phase dropped
     engine: Engine  # what the words were measured against
     zq: np.ndarray  # (S,) <Z_1> after the query circuit
     zk: np.ndarray  # (S,) <Z_1> after the key circuit

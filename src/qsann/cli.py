@@ -411,7 +411,7 @@ def cmd_attention(args) -> int:
 def cmd_noise_sweep(args) -> int:
     # the base config is noiseless: each point sets its own channel and level
     cfg = RunConfig.from_dict({**_load_config_sources(args), "noise_kind": None, "noise_p": None})
-    p_values = _parse_list(args.p_list, float, "numbers")
+    p_values = _parse_list(args.p_list, lambda text: float(text) + 0.0, "numbers")  # -0 is 0
     names = [f"{p:g}" for p in p_values]  # each level's point directory is named by it
     if len(set(names)) != len(names):
         raise ConfigurationError(f"noise levels {args.p_list!r} share directory names {names}")

@@ -23,10 +23,11 @@ layers are traversed last to first so stacked models backpropagate.
 
 Measured quantity k (query/key Z_1, d values) weighs word s by its upstream
 gradient w_k[s]: circuit angles sweep X = sum_k rho_k U^dag E^dag(O_k) U, one
-per circuit, with rho_k = E(sum_s w_k[s] |enc_s><enc_s|); word s's encoder
-angles sweep against sum_k w_k[s] M_k.  The noise, the column operators,
-U^dag E^dag(O_k) U, M_k and each quantity's circuit are read from the
-``attention.Engine`` the forward kept in the layer's trace.
+per circuit, with rho_k = E(sum_s w_k[s] enc_s enc_s^T) of the real encoder
+rows; word s's encoder angles sweep its row against sum_k w_k[s] Re(M_k), and
+those of the first (RX) column, which sets only a global phase, get zero.  The
+noise, the column operators, U^dag E^dag(O_k) U, Re(M_k) and each quantity's
+circuit are read from the ``attention.Engine`` the forward kept in the trace.
 """
 
 from __future__ import annotations
@@ -87,14 +88,14 @@ def layer_backward(
     weights = np.vstack([d_zq, d_zk, d_values.T])
 
     # ENCODE_BLOCK words at a time, so that no intermediate grows with the sentence:
-    # sum_s w_k[s] |enc_s><enc_s|, and each word's encoder sweep (its angles are the
-    # inputs) against M_s.
+    # sum_s w_k[s] enc_s enc_s^T, and each word's encoder sweep (its angles are the
+    # inputs) against sum_k w_k[s] Re(M_k).
     d_u, mixed = g.copy(), 0.0
     for start in range(0, len(u), attention.ENCODE_BLOCK):
         block = slice(start, start + attention.ENCODE_BLOCK)
         states = trace.encoded[block]
-        mixed = mixed + (weights[:, block, None] * states).swapaxes(1, 2) @ states.conj()
-        duals = np.einsum("ks,kas->sa", weights[:, block], engine.effective @ states.T)
+        mixed = mixed + (weights[:, block, None] * states).swapaxes(1, 2) @ states
+        duals = (weights[:, block].T[:, None, :] @ engine.moved(states))[:, 0]
         d_u[block] += adjoint_row_gradients(engine.enc_spec, u[block], states, duals)
     rhos = engine.channel(mixed)  # rho_k, the channel applied once
 

@@ -69,16 +69,16 @@ class ModelConfig:
         if self.n_layers < 1:
             raise ConfigurationError("need at least one attention layer")
         # Operators of 2**n x 2**n, counted high: each layer's trace keeps 3 (D_qkv + 2) column
-        # operators and 2 per measured quantity (K = 2 + d); a layer's build or backward adds at
-        # most 6 K + 12, the d shared observables fewer than K, their held E^dag(O) d more.
+        # operators, 2 per measured quantity (K = 2 + d) and a Re(M) stack of K float64 ones; a
+        # build or backward adds at most 6 K + 12, the d observables fewer than K, E^dag(O) d more.
         quantities = 2 + self.embed_dim
         per_layer = 3 * (self.qkv_depth + 2) + 2 * quantities
         operators = self.n_layers * per_layer + 7 * quantities + 12 + self.embed_dim
-        need = 16 * 4**self.n_qubits * operators
+        need = 4**self.n_qubits * (16 * operators + 8 * self.n_layers * quantities)
         if need > ENGINE_MEMORY_BUDGET:
             raise ConfigurationError(
-                f"geometry needs {need} bytes for {operators} operators of 2**n x 2**n, "
-                f"over the {ENGINE_MEMORY_BUDGET}-byte budget"
+                f"geometry needs {need} bytes for {operators} operators of 2**n x 2**n and "
+                f"{self.n_layers} Re(M) stacks, over the {ENGINE_MEMORY_BUDGET}-byte budget"
             )
 
     @property

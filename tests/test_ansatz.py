@@ -124,7 +124,7 @@ class TestEncodeInput:
             depth = int(rng.integers(0, 4))
             spec = AnsatzSpec(n, depth)
             angles = rng.uniform(0, 2 * np.pi, spec.param_count)
-            batched = encode_batch(angles, spec)[0]
+            batched = encode_input(angles, spec).amplitudes  # with the global phase
             state = init_zero_state(n)
             gates = [Gate("H", q) for q in range(n)] + build_circuit(spec, angles)
             via_gates = apply_circuit(state, gates).amplitudes
@@ -137,7 +137,8 @@ class TestEncodeInput:
         # which would flip a rotation's sign
         spec = AnsatzSpec(n, depth)
         rows = rng.uniform(0, 2 * np.pi, (5, spec.param_count))
-        got = encode_batch(rows, spec)
+        # real rows times the global phase exp(-i sum(a) / 2) of the first (RX) column
+        got = encode_batch(rows, spec) * np.exp(-0.5j * rows[:, :n].sum(axis=1))[:, None]
         zero = init_zero_state(n).amplitudes
         for row, state in zip(rows, got):
             gates = [Gate("H", q) for q in range(n)] + build_circuit(spec, row)

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_layer
 from qsann.ansatz import AnsatzSpec, ParamVector, build_circuit
 from qsann.attention import (
+    ENCODE_BLOCK,
     AttentionMatrix,
     Engine,
     ObservableSet,
@@ -117,6 +118,27 @@ class TestObservablesUnderNoise:
         assert first.observed is obs.under(noise)
         for pure in (None, NoiseChannel("amplitude_damping", 0.0)):
             assert Engine(random_layer(rng), obs, pure).observed is obs.matrices
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseChannel("depolarizing", 0.1), NoiseChannel("amplitude_damping", 0.2)],
+    ids=["pure", "depolarizing", "amplitude_damping"],
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_is_row_independent(rng, n, noise):
+    # a pass measures its distinct words together and a training step each sentence alone,
+    # with the same bits: a row's must not depend on the rows measured with it
+    layer = random_layer(rng, n, 1, 1, std=0.8)
+    engine = Engine(layer, ObservableSet.default(n, layer.input_dim), noise)
+    rows = rng.uniform(-4, 4, (ENCODE_BLOCK, layer.input_dim))
+    states, full = engine.measure(rows)
+    for size in (1, 7):
+        for start in range(0, len(rows), size):
+            block = slice(start, start + size)
+            got_states, got = engine.measure(rows[block])
+            assert np.array_equal(got_states, states[block])
+            assert np.array_equal(got, full[block]), (size, start)
 
 
 class TestQueryKey:
@@ -282,7 +304,7 @@ class TestLayerForward:
         monkeypatch.setattr(
             Engine,
             "expect",
-            lambda self, states, ops: np.zeros(states.shape[:-1] + ops.shape[-3:-2]),
+            lambda self, states: np.zeros((len(states), len(self.circuits))),
         )
         assert np.array_equal(layer_forward(xs, layer, obs).outputs, xs)
 

@@ -747,6 +747,20 @@ class TestCmdNoiseSweep:
         for point in sweep["points"]:
             assert len(point["accuracies"]) == 1
 
+    def test_negative_zero_level_is_level_zero(self, tmp_path, toy_tsv):
+        sweep_out = tmp_path / "sweep_negative_zero"
+        assert main([
+            "noise-sweep", "--preset", "toy", "--dataset", str(toy_tsv), "--seeds", "0",
+            "--epochs", "1", "--channels", "depolarizing", "--p-list=-0,0.1",
+            "--out", str(sweep_out),
+        ]) == 0
+        assert sorted(path.name for path in sweep_out.glob("depolarizing_*")) == [
+            "depolarizing_p0", "depolarizing_p0.1",
+        ]
+        text = (sweep_out / "sweep_summary.json").read_text()
+        assert [point["p"] for point in json.loads(text)["points"]] == [0.0, 0.1]
+        assert '"p": 0.0' in text and "-0.0" not in text
+
     def test_invalid_p_rejected(self, tmp_path, toy_tsv):
         cfg_path = tmp_path / "sweep3.json"
         cfg_path.write_text(json.dumps(fast_config(toy_tsv)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, build_random_model, finite_difference, random_layer
-from qsann import attention, model as model_mod
+from qsann import ansatz, attention, model as model_mod
 from qsann.ansatz import build_circuit, run_ansatz_batch
 from qsann.attention import (
     ObservableSet,
@@ -66,15 +66,17 @@ def _mixed_states(states, weights, noise, n_qubits):
     return _channel(rhos, noise, n_qubits)
 
 
-def shift_layer_backward(layer, obs, trace, g, noise=None):
-    """layer_backward's four gradients by the parameter-shift rule."""
-    u, zq, zk = trace.inputs, trace.zq, trace.zk
-    alpha, values = trace.coefficients, trace.values
-    engine = trace.engine
+def upstream_weights(trace, g):
+    """(K, S) weight w_k[s] of word s in measured quantity k: d_zq, d_zk, then d_values."""
+    zq, zk, alpha, values = trace.zq, trace.zk, trace.coefficients, trace.values
     beta = g @ values.T
     attn_term = 2.0 * (zq[:, None] - zk[None, :]) * alpha * (beta - (alpha * beta).sum(1)[:, None])
-    weights = np.vstack([-attn_term.sum(axis=1), attn_term.sum(axis=0), (alpha.T @ g).T])
+    return np.vstack([-attn_term.sum(axis=1), attn_term.sum(axis=0), (alpha.T @ g).T])
 
+
+def shift_layer_backward(layer, obs, trace, g, noise=None):
+    """layer_backward's four gradients by the parameter-shift rule."""
+    u, weights = trace.inputs, upstream_weights(trace, g)
     thetas = np.stack([layer.theta_q.values, layer.theta_k.values, layer.theta_v.values])
     shift_rows = _shift_rows(thetas).reshape(3, -1, thetas.shape[1])  # +, - per angle
     rhos = _mixed_states(_gate_encoder(layer.enc_spec, u), weights, noise, layer.n_qubits)
@@ -88,13 +90,19 @@ def shift_layer_backward(layer, obs, trace, g, noise=None):
             traces = np.einsum("ab,pba->p", obs.matrices[observables[k]], moved).real
             d_theta[circuit] += (traces[0::2] - traces[1::2]) / 2.0
 
-    (n_words, width), dim = u.shape, 2**layer.n_qubits
-    per_word = np.einsum("ks,kab->sab", weights, engine.effective)
+    # every shifted encoder state through the noise, each circuit and the noise again:
+    # Tr[O_k E(U E(|psi><psi|) U^dag)], weighted by w_k[s]
+    (n_words, width), n = u.shape, layer.n_qubits
     enc_shifted = _gate_encoder(layer.enc_spec, _shift_rows(u).reshape(-1, width))
-    enc_shifted = enc_shifted.reshape(n_words, 2 * width, dim)
-    shifted_values = np.einsum(
-        "spa,sab,spb->sp", enc_shifted.conj(), per_word, enc_shifted
-    ).real.reshape(n_words, width, 2)
+    enc_rhos = _channel(np.einsum("pa,pb->pab", enc_shifted, enc_shifted.conj()), noise, n)
+    per_quantity = np.empty((len(circuits), len(enc_rhos)))
+    for circuit, theta in enumerate(thetas):
+        unitary = _oracle_unitary(layer.qkv_spec, tuple(theta))
+        moved = _channel(unitary @ enc_rhos @ unitary.conj().T, noise, n)
+        for k in np.flatnonzero(np.equal(circuits, circuit)):
+            per_quantity[k] = np.einsum("ab,pba->p", obs.matrices[observables[k]], moved).real
+    per_quantity = per_quantity.reshape(len(circuits), n_words, width, 2)
+    shifted_values = np.einsum("ks,kswp->swp", weights, per_quantity)
     d_u = g + (shifted_values[:, :, 0] - shifted_values[:, :, 1]) / 2.0
     return d_theta[0], d_theta[1], d_theta[2], d_u
 
@@ -132,6 +140,72 @@ def test_adjoint_layer_backward_matches_parameter_shift(n, enc_depth, qkv_depth,
         want = shift_layer_backward(layer, obs, trace, g, noise)
         for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):
             assert np.max(np.abs(a - b)) < 1e-12, (name, n_words)
+
+
+# ---------------------------------------------------------------------------
+# The complex encoder path that real rows replaced: encoder states with their
+# global phase, measured with two einsums and swept against the complex M.
+
+
+def complex_encode(inputs, spec):
+    rows, n = inputs.shape[0], spec.n_qubits
+    half = 0.5 * inputs.reshape(rows, spec.depth + 2, n)
+    cos, sin = np.cos(half[:, 1]), np.sin(half[:, 1])
+    qubits = np.stack([cos - sin, sin + cos], axis=-1) * (
+        np.exp(-1j * half[:, 0]) / np.sqrt(2.0)
+    )[..., None]
+    amps = qubits[:, 0]
+    for q in range(1, n):
+        amps = (amps[:, :, None] * qubits[:, q, None, :]).reshape(rows, -1)
+    for column in range(2, spec.depth + 2):
+        if n > 1:
+            amps = amps @ ansatz._cnot_ring(n).T
+        amps = ansatz._ry_column(amps, half[:, column])
+    return amps
+
+
+def complex_expect(states, ops):
+    moved = np.einsum("...kab,...rb->...rka", ops, states)
+    return np.einsum("...ra,...rka->...rk", states.conj(), moved).real
+
+
+def complex_row_gradients(spec, angles, states, duals):
+    n, rows = spec.n_qubits, states.shape[0]
+    pair = np.concatenate([states, duals])
+    undo = -0.5 * np.tile(angles, (2, 1)).reshape(2 * rows, spec.depth + 2, n)
+    grads = np.empty((rows, spec.depth + 2, n))
+    for column, (kind, ring) in reversed(list(enumerate(ansatz._columns(spec)))):
+        flips, phases = ansatz._generators(kind, n)
+        grads[:, column] = (pair[rows:, None].conj() * phases * pair[:rows, flips]).sum(-1).imag
+        if column:
+            pair = ansatz._ry_column(pair, undo[:, column])
+            if ring:
+                pair = pair @ ansatz._cnot_ring(n)
+    return grads.reshape(rows, -1)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseChannel("depolarizing", 0.1), NoiseChannel("amplitude_damping", 0.2)],
+    ids=["pure", "depolarizing", "amplitude_damping"],
+)
+@pytest.mark.parametrize("n,enc_depth", [(1, 0), (1, 1), (2, 1), (3, 2), (4, 1), (4, 4)])
+def test_real_rows_match_the_complex_path(n, enc_depth, noise):
+    rng = np.random.default_rng(10 * n + enc_depth)
+    layer = random_layer(rng, n, enc_depth, 1, std=0.8)
+    u = rng.uniform(-4, 4, (12, layer.input_dim))
+    g = rng.normal(size=u.shape)
+    trace = layer_forward(u, layer, ObservableSet.default(n, layer.input_dim), noise)
+    effective = trace.engine.apply(trace.engine.heisenberg)  # the complex M of each quantity
+    states = complex_encode(u, layer.enc_spec)
+    want = np.clip(complex_expect(states, effective), -1.0, 1.0)
+    got = np.column_stack([trace.zq, trace.zk, trace.values])
+    assert np.max(np.abs(got - want)) < 1e-14
+    duals = np.einsum("ks,kas->sa", upstream_weights(trace, g), effective @ states.T)
+    d_u = layer_backward(trace, g)[3]
+    assert np.max(np.abs(d_u - g - complex_row_gradients(layer.enc_spec, u, states, duals))) < 1e-12
+    # the RX column sets only a global phase: exactly no gradient, so only the residual's
+    assert np.array_equal(d_u[:, :n], g[:, :n])
 
 
 class TestErrorFactor:
@@ -256,9 +330,9 @@ class TestLongSentences:
         measured = []
         original = attention.Engine.expect
 
-        def expect(self, states, ops):
+        def expect(self, states):
             measured.append(len(states))
-            return original(self, states, ops)
+            return original(self, states)
 
         monkeypatch.setattr(attention.Engine, "expect", expect)
 
