@@ -209,10 +209,11 @@ class Engine:
         self.observed = obs.under(self.noise)  # E^dag(O), shared by every engine of obs
         self.circuits, observables = measured_quantities(obs.size)
         u = unitaries[self.circuits]  # each measured quantity's circuit
-        # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and Re(M) of each as
-        # one contiguous (2**n, K 2**n) matrix: for a real row psi, <psi|M|psi> = psi^T Re(M) psi
+        # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and Re(M) of each, the
+        # real channel on its real part, as the transpose of one contiguous (K 2**n, 2**n) stack
         self.heisenberg = u.conj().swapaxes(-1, -2) @ self.observed[observables] @ u
-        self.measured = np.concatenate(self.apply(self.heisenberg).real.swapaxes(1, 2), axis=1)
+        real = np.ascontiguousarray(self.apply(self.heisenberg.real))
+        self.measured = real.reshape(-1, 2**self.n_qubits).T
 
     def prepare(self, inputs: np.ndarray) -> np.ndarray:
         """Real encoder states of the input rows, (rows, 2**n)."""

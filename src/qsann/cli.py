@@ -231,16 +231,17 @@ def _build_dataset(cfg: RunConfig) -> data.Dataset:
 
 
 def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Dataset]:
-    """(output directory, dataset) of a training command, its config written there once
-    the dataset is built and its float64 embedding table fits the memory budget."""
+    """(output directory, dataset) of a training command, its config written there once the
+    dataset is built and the embedding-table copies training holds fit the memory budget."""
     hint = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _resolve_out_dir(args, f"{hint}_{suffix}")
     dataset = _build_dataset(cfg)
-    need = 8 * dataset.vocabulary.size * cfg.embed_dim
-    if need > model_mod.ENGINE_MEMORY_BUDGET:
+    vocab, budget = dataset.vocabulary.size, model_mod.ENGINE_MEMORY_BUDGET
+    need = training.TABLE_COPIES * 8 * vocab * cfg.embed_dim
+    if need > budget:
         raise ConfigurationError(
-            f"embed_dim {cfg.embed_dim}: a {dataset.vocabulary.size}-word embedding table "
-            f"needs {need} bytes, over the {model_mod.ENGINE_MEMORY_BUDGET}-byte budget"
+            f"embed_dim {cfg.embed_dim}: {training.TABLE_COPIES} copies of the {vocab}-word "
+            f"embedding table need {need} bytes, over the {budget}-byte budget"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.to_dict())

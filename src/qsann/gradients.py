@@ -101,7 +101,7 @@ def layer_backward(
 
     # sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag], U the quantity's circuit
     products = rhos @ engine.heisenberg
-    joints = np.stack([products[np.equal(engine.circuits, c)].sum(axis=0) for c in range(3)])
+    joints = np.stack([products[0], products[1], products[2:].sum(axis=0)])  # Q, K, the values
     d_theta = adjoint_operator_gradients(engine.qkv_spec, engine.columns, joints)
     return d_theta[0], d_theta[1], d_theta[2], d_u
 

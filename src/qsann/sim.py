@@ -379,11 +379,12 @@ def apply_channel_batch(
 
 @functools.lru_cache(maxsize=None)
 def _superoperator(kind: str, p: float, adjoint: bool) -> np.ndarray:
-    """Read-only S[(a, b), (a', b')] = sum_K K[a', a] K*[b', b] of a channel or its adjoint."""
+    """Read-only S[(a, b), (a', b')] = sum_K K[a', a] K*[b', b] of a channel or its adjoint,
+    float64: for both channels the imaginary part is exactly 0, so a real stack stays real."""
     kraus = [k.conj().T if adjoint else k for k in NoiseChannel(kind, p).kraus_operators()]
-    sup = sum(np.einsum("ca,db->cdab", k, k.conj()) for k in kraus)
+    sup = sum(np.einsum("ca,db->abcd", k, k.conj()) for k in kraus).real.reshape(4, 4).copy()
     sup.flags.writeable = False
-    return sup.transpose(2, 3, 0, 1).reshape(4, 4)
+    return sup
 
 
 def apply_channel_every_qubit(

@@ -1,18 +1,19 @@
 """Adam optimization, the table of model kinds and the training loop they share.
 
 Updates default to one sample at a time; larger batch sizes average the
-per-sample gradients before a single step.  ``train`` first redraws every
-parameter with ``model.init_parameters`` from the config seed, so identical
-(seed, config, data) reproduce identical runs whatever model it is given.
-Training stops early once the relative spread of the epoch losses inside a
-trailing window drops below a tolerance, or aborts (restoring the last
-finite state) if a loss or gradient goes non-finite.
+per-sample gradients, summed into one flat vector, before one step of Adam
+over flat moments.  ``train`` first redraws every parameter with
+``model.init_parameters`` from the config seed, so identical (seed, config,
+data) reproduce identical runs whatever model it is given.  Training stops
+early once the relative spread of the epoch losses inside a trailing window
+drops below a tolerance, or aborts (restoring the last finite state) if a
+loss or gradient goes non-finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,12 +55,30 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments as flat vectors over ``layout``, the first step's ((key, shape), ...)."""
+
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    layout: tuple = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+
+# Copies of the embedding table training holds at most at once, checked against the memory
+# budget: the table, its last good snapshot, Adam's m and v, and three gradient-sized vectors
+# (adam_step's given gradient, flat gather and temporary; or a batch's sum and two samples').
+TABLE_COPIES = 7
+
+
+def _views(flat: np.ndarray, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of a flat vector shaped and keyed as ``params``, its arrays in order."""
+    views, start = {}, 0
+    for key, param in params.items():
+        views[key] = flat[start : start + param.size].reshape(param.shape)
+        start += param.size
+    return views
 
 
 def adam_step(
@@ -68,23 +87,30 @@ def adam_step(
     state: AdamState,
     learning_rate: float,
 ) -> AdamState:
-    """One in-place Adam update with bias correction."""
-    for key, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
-            raise TrainingAborted(f"non-finite gradient in {key!r}")
+    """One in-place Adam update with bias correction, as whole-vector passes over flat moments."""
+    layout = tuple((key, param.shape) for key, param in params.items())
+    if state.m is not None and layout != state.layout:
+        raise ConfigurationError("params laid out unlike those Adam's moments were built for")
+    g = np.concatenate([grads[key] for key in params], axis=None)
+    if state.m is None:
+        state.layout, state.m, state.v = layout, np.zeros_like(g), np.zeros_like(g)
+    if not np.isfinite(g).all():
+        bad = next(key for key in params if not np.isfinite(grads[key]).all())
+        raise TrainingAborted(f"non-finite gradient in {bad!r}")
     state.step += 1
     correction1 = 1.0 - state.beta1**state.step
     correction2 = 1.0 - state.beta2**state.step
-    for key, param in params.items():
-        grad = grads[key]
-        if key not in state.m:
-            state.m[key] = np.zeros_like(param)
-            state.v[key] = np.zeros_like(param)
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * grad
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * grad * grad
-        m_hat = state.m[key] / correction1
-        v_hat = state.v[key] / correction2
-        param -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, p -= lr (m / c1) / (sqrt(v / c2) + eps):
+    # each operation of these expressions, rounded as they round it, in place in m, v, g and t
+    t = np.multiply(g, 1.0 - state.beta1)
+    state.m *= state.beta1
+    state.m += t
+    state.v *= state.beta2
+    state.v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=t), g, out=t)
+    step = np.multiply(np.divide(state.m, correction1, out=g), learning_rate, out=g)
+    step /= np.add(np.sqrt(np.divide(state.v, correction2, out=t), out=t), state.eps, out=t)
+    for param, part in zip(params.values(), _views(step, params).values()):
+        param -= part
     return state
 
 
@@ -236,15 +262,6 @@ class TrainResult:
     stopped_epoch: int | None = None
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {key: param.copy() for key, param in params.items()}
-
-
-def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None:
-    for key, param in params.items():
-        param[...] = snap[key]
-
-
 def _window_converged(losses: list[float], window: int, tol: float) -> bool:
     if len(losses) < window + 1:
         return False
@@ -293,11 +310,11 @@ def train(
     stop_key = "dev_loss" if config.dev_early_stop and dev_samples else "train_loss"
     metrics = [record(0)]
     stop_losses = [metrics[0][stop_key]]
-    last_good = _snapshot(params)
     aborted = False
     stopped_epoch = None
 
     for epoch in range(1, config.epochs + 1):
+        last_good = np.concatenate(list(params.values()), axis=None)  # flat, as in _views
         order = (
             rng.permutation(len(train_samples))
             if config.shuffle
@@ -306,22 +323,26 @@ def train(
         try:
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start : start + config.batch_size]
-                grad_dicts = [kind.backward(train_samples[i], model, noise) for i in chunk]
-                grads = {
-                    key: sum(g[key] for g in grad_dicts) / len(grad_dicts)
-                    for key in grad_dicts[0]
-                }
+                if len(chunk) == 1:
+                    grads = kind.backward(train_samples[chunk[0]], model, noise)
+                else:  # summed in sample order into one flat vector, then averaged
+                    total = np.zeros_like(last_good)
+                    for i in chunk:
+                        grads = kind.backward(train_samples[i], model, noise)
+                        total += np.concatenate([grads[key] for key in params], axis=None)
+                    total /= len(chunk)
+                    grads = _views(total, params)
                 adam_step(params, grads, adam, config.learning_rate)
             metrics.append(record(epoch))
             if not np.isfinite(metrics[-1]["train_loss"]):
                 raise TrainingAborted("non-finite training loss")
         except TrainingAborted:
-            _restore(params, last_good)
+            for param, saved in zip(params.values(), _views(last_good, params).values()):
+                param[...] = saved
             aborted = True
             stopped_epoch = epoch
             break
 
-        last_good = _snapshot(params)
         stop_losses.append(metrics[-1][stop_key])
         if _window_converged(stop_losses, config.stop_window, config.stop_tol):
             stopped_epoch = epoch

@@ -310,9 +310,10 @@ def test_unreadable_config_is_a_usage_error(tmp_path, capsys, text):
 
 
 def test_embedding_table_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
-    # a vocab x embed_dim float64 table; checked once the dataset gives the vocabulary
+    # the copies of a vocab x embed_dim float64 table that training holds at once;
+    # checked once the dataset gives the vocabulary
     vocab = cli._build_dataset(RunConfig(str(toy_tsv))).vocabulary.size
-    widest = model_mod.ENGINE_MEMORY_BUDGET // (8 * vocab)
+    widest = model_mod.ENGINE_MEMORY_BUDGET // (training.TABLE_COPIES * 8 * vocab)
 
     class Reached(Exception):
         pass

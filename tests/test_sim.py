@@ -327,6 +327,19 @@ class TestNoiseChannels:
                 want = np.moveaxis(t, (5, 6), (2, 5)).reshape(3, dim, dim)
             assert np.array_equal(apply_channel_every_qubit(ops, channel, n, adjoint), want)
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    def test_real_stack_stays_real_with_the_complex_results_bits(self, rng, kind, adjoint):
+        # both channels' superoperators are real, so a real stack is kernelled as float64
+        channel = NoiseChannel(kind, 0.2)
+        for n in range(1, 5):
+            dim = 2**n
+            ops = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+            real = apply_channel_every_qubit(np.ascontiguousarray(ops.real), channel, n, adjoint)
+            full = apply_channel_every_qubit(ops, channel, n, adjoint)
+            assert real.dtype == np.float64
+            assert real.tobytes() == np.ascontiguousarray(full.real).tobytes()
+
     def test_target_required_and_in_range(self):
         rho = density_from_state(init_zero_state(1))
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,31 @@ from qsann.training import MODEL_KINDS, AdamState, TrainConfig, adam_step, evalu
 def toy_dataset(seed=0, n_samples=40, ratios=(0.7, 0.3)):
     corpus = data.make_separable_corpus(seed=seed, n_samples=n_samples)
     return data.build_splits(corpus, ratios, seed=seed)
+
+
+def per_key_state():
+    return SimpleNamespace(beta1=0.9, beta2=0.999, eps=1e-8, step=0, m={}, v={})
+
+
+def per_key_adam_step(params, grads, state, learning_rate):
+    """The reference: Adam key by key, m and v dicts in a ``per_key_state``."""
+    for key, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise TrainingAborted(f"non-finite gradient in {key!r}")
+    state.step += 1
+    correction1 = 1.0 - state.beta1**state.step
+    correction2 = 1.0 - state.beta2**state.step
+    for key, param in params.items():
+        grad = grads[key]
+        if key not in state.m:
+            state.m[key] = np.zeros_like(param)
+            state.v[key] = np.zeros_like(param)
+        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * grad
+        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * grad * grad
+        m_hat = state.m[key] / correction1
+        v_hat = state.v[key] / correction2
+        param -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    return state
 
 
 class TestTrainConfig:
@@ -78,6 +105,61 @@ class TestAdam:
         v_hat = v2 / (1 - 0.999**2)
         expected = x1 - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert params["x"][0] == pytest.approx(expected, abs=1e-12)
+
+    def test_flat_step_bit_equal_to_the_per_key_step(self):
+        rng = np.random.default_rng(19)
+        shapes = {"a": (3,), "b": (4, 5), "one": (1,), "c": (2, 3, 2), "table": (9, 4)}
+        flat = {key: rng.normal(size=shape) for key, shape in shapes.items()}
+        reference = {key: param.copy() for key, param in flat.items()}
+        state, reference_state = AdamState(), per_key_state()
+        for step in range(250):
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads = {key: scale * rng.normal(size=shape) for key, shape in shapes.items()}
+            if step % 5 == 0:
+                grads["table"][rng.integers(9, size=6)] = 0.0  # rows no word touched
+            if step % 7 == 0:
+                grads["one"][0] = -0.0
+            learning_rate = rng.uniform(1e-4, 0.1)
+            adam_step(flat, grads, state, learning_rate)
+            per_key_adam_step(reference, grads, reference_state, learning_rate)
+            for key in shapes:
+                assert flat[key].tobytes() == reference[key].tobytes(), (step, key)
+        for flat_moment, moments in ((state.m, reference_state.m), (state.v, reference_state.v)):
+            assert flat_moment.tobytes() == np.concatenate(list(moments.values()), axis=None).tobytes()
+
+    def test_non_finite_second_key_is_named_and_nothing_moves(self):
+        params = {"first": np.array([1.0, 2.0]), "second": np.ones((2, 2)), "third": np.ones(3)}
+        state = AdamState()
+        adam_step(params, {key: np.full_like(p, 0.5) for key, p in params.items()}, state, 0.1)
+        before = {key: p.copy() for key, p in params.items()}
+        m, v = state.m.copy(), state.v.copy()
+        grads = {key: np.ones_like(p) for key, p in params.items()}
+        grads["second"][1, 0] = np.nan
+        grads["third"][2] = np.inf
+        with pytest.raises(TrainingAborted, match="'second'"):
+            adam_step(params, grads, state, 0.1)
+        assert all(params[key].tobytes() == before[key].tobytes() for key in params)
+        assert state.step == 1
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"x": np.zeros(3), "y": np.zeros((2, 2))},  # a resized key
+            {"x": np.zeros(2), "y": np.zeros(4)},  # a reshaped key, same size
+            {"y": np.zeros((2, 2)), "x": np.zeros(2)},  # the keys reordered
+            {"x": np.zeros(2), "y": np.zeros((2, 2)), "z": np.zeros(1)},  # a key added
+            {"x": np.zeros(2)},  # a key dropped
+        ],
+    )
+    def test_changed_layout_refused(self, changed):
+        params = {"x": np.zeros(2), "y": np.zeros((2, 2))}
+        state = AdamState()
+        adam_step(params, {key: np.ones_like(p) for key, p in params.items()}, state, 0.1)
+        assert state.layout == (("x", (2,)), ("y", (2, 2)))
+        with pytest.raises(ConfigurationError):
+            adam_step(changed, {key: np.ones_like(p) for key, p in changed.items()}, state, 0.1)
+        assert state.step == 1
 
 
 class TestEvaluate:
@@ -288,3 +370,57 @@ def test_training_path_runs_no_gate_by_gate_kernel(monkeypatch, noise):
     assert len(result.metrics) == 2
     accuracy, loss = evaluate(ds.test, model, noise)
     assert 0.0 <= accuracy <= 1.0 and np.isfinite(loss)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize(
+    "kind,noise",
+    [("qsann", None), ("qsann", NoiseChannel("depolarizing", 0.1)), ("csann", None),
+     ("naive", None)],
+    ids=["qsann-pure", "qsann-depolarizing", "csann", "naive"],
+)
+def test_train_bit_equal_with_the_per_key_adam(monkeypatch, kind, noise, batch_size):
+    # 14 training samples: at batch size 3 the last batch has 2
+    ds = toy_dataset(n_samples=20)
+    settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 1,
+                "lam": 0.1, "gamma": 0.2, "dim": 6}
+    config = TrainConfig(learning_rate=0.05, epochs=3, lam=0.1, gamma=0.2, seed=3,
+                         batch_size=batch_size)
+    runs = []
+    for reference in (False, True):
+        if reference:
+            state = per_key_state()
+            monkeypatch.setattr(
+                training, "adam_step", lambda p, g, _, lr: per_key_adam_step(p, g, state, lr)
+            )
+        model = MODEL_KINDS[kind].init(settings, ds.vocabulary.size, None)
+        metrics = json.dumps(train(ds, model, config, noise).metrics)
+        runs.append((metrics, [p.tobytes() for p in MODEL_KINDS[kind].params(model).values()]))
+    assert runs[0] == runs[1]
+
+
+def test_batch_gradient_is_the_mean_of_its_samples_in_order(monkeypatch):
+    ds = toy_dataset(n_samples=20)
+    kind, adam = MODEL_KINDS["csann"], training.adam_step
+    samples, steps = [], []
+
+    def backward(sample, model, noise):
+        samples.append(kind.backward(sample, model, noise))
+        return samples[-1]
+
+    def step(params, grads, state, learning_rate):
+        steps.append({key: grad.copy() for key, grad in grads.items()})
+        return adam(params, grads, state, learning_rate)
+
+    monkeypatch.setitem(MODEL_KINDS, "csann", dataclasses.replace(kind, backward=backward))
+    monkeypatch.setattr(training, "adam_step", step)
+    model = kind.init({"dim": 5, "lam": 0.1, "gamma": 0.2}, ds.vocabulary.size, None)
+    train(ds, model, TrainConfig(learning_rate=0.05, epochs=2, batch_size=3, seed=1))
+    batches = [
+        samples[i : min(i + 3, end)] for end in (14, 28) for i in range(end - 14, end, 3)
+    ]
+    assert len(samples) == 28 and len(steps) == len(batches) == 10
+    for grads, batch in zip(steps, batches):
+        assert grads.keys() == batch[0].keys()
+        for key, grad in grads.items():  # the plain sum(...) / len(...) mean, to the bit
+            assert grad.tobytes() == (sum(g[key] for g in batch) / len(batch)).tobytes()
