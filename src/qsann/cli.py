@@ -89,12 +89,13 @@ class RunConfig:
             self.embed_dim = 16
         elif self.embed_dim < 1:
             raise ConfigurationError(f"embed_dim must be at least 1, got {self.embed_dim}")
+        budget = model_mod.ENGINE_MEMORY_BUDGET
         if self.model == "qsann":  # geometry and memory-budget checks
             model_mod.ModelConfig(self.n_qubits, self.enc_depth, self.qkv_depth, self.n_layers)
-        elif self.model == "csann" and 24 * self.embed_dim**2 > model_mod.ENGINE_MEMORY_BUDGET:
+        elif self.model == "csann" and training.TABLE_COPIES * 24 * self.embed_dim**2 > budget:
             raise ConfigurationError(
-                f"embed_dim {self.embed_dim}: csann's three float64 projections of that size "
-                f"exceed the {model_mod.ENGINE_MEMORY_BUDGET}-byte budget"
+                f"embed_dim {self.embed_dim}: {training.TABLE_COPIES} copies of csann's three "
+                f"float64 projections exceed the {budget}-byte budget"
             )
         if (self.noise_kind is None) != (self.noise_p is None):
             raise ConfigurationError("noise_kind and noise_p must be given together")
@@ -225,23 +226,32 @@ def _build_dataset(cfg: RunConfig) -> data.Dataset:
     if not Path(cfg.dataset_path).exists():
         raise ConfigurationError(f"dataset not found: {cfg.dataset_path}")
     samples = data.load_tsv(cfg.dataset_path)
-    return data.build_splits(
-        samples, cfg.ratios, cfg.split_seed, drop_empty=cfg.drop_empty
-    )
+    dataset = data.build_splits(samples, cfg.ratios, cfg.split_seed, drop_empty=cfg.drop_empty)
+    longest = max(len(item.token_ids) for part in dataset.splits.values() for item in part)
+    layers = cfg.n_layers if cfg.model == "qsann" else 1
+    need = (model_mod.PAIR_BYTES + 8 * layers) * longest**2  # 8 more per pair in each trace
+    if need > model_mod.ENGINE_MEMORY_BUDGET:
+        raise ConfigurationError(
+            f"a {longest}-word sentence needs {need} bytes for its attention arrays, "
+            f"over the {model_mod.ENGINE_MEMORY_BUDGET}-byte budget"
+        )
+    return dataset
 
 
 def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Dataset]:
     """(output directory, dataset) of a training command, its config written there once the
-    dataset is built and the embedding-table copies training holds fit the memory budget."""
+    dataset is built and the parameter copies training holds fit the memory budget."""
     hint = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _resolve_out_dir(args, f"{hint}_{suffix}")
     dataset = _build_dataset(cfg)
     vocab, budget = dataset.vocabulary.size, model_mod.ENGINE_MEMORY_BUDGET
-    need = training.TABLE_COPIES * 8 * vocab * cfg.embed_dim
+    square = 3 * cfg.embed_dim if cfg.model == "csann" else 0  # rows of csann's projections
+    need = training.TABLE_COPIES * 8 * (vocab + square) * cfg.embed_dim
     if need > budget:
         raise ConfigurationError(
             f"embed_dim {cfg.embed_dim}: {training.TABLE_COPIES} copies of the {vocab}-word "
-            f"embedding table need {need} bytes, over the {budget}-byte budget"
+            f"embedding table{' and projections' if square else ''} need {need} bytes, over "
+            f"the {budget}-byte budget"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.json", cfg.to_dict())

@@ -6,10 +6,10 @@ squared error against the 0/1 label plus two scaled L2 regularizers, one on
 the head weights and one on the sequence's embedding vectors (batch-averaged
 so the total is invariant to batch size).
 
-Predictions come from ``forward_many``, which evaluates a pass of sentences
-in vocabulary space and attends them a length group at a time;
+A pass's predictions come from ``forward_many``, which evaluates it in
+vocabulary space, attends it a length group and scores it a window at a time;
 ``layer_traces`` keeps each layer's trace for the backward pass, and
-``forward`` reads one sentence's traces to export its attention matrices.
+``forward`` reads one sentence's traces for its ``Prediction`` and attention.
 A model's observables follow from its geometry (``ObservableSet.default``).
 
 This head, its penalties and their gradients are defined here once for every
@@ -41,17 +41,20 @@ from .sim import NoiseChannel
 
 # Memory the attention engine's operator stacks may take (see ModelConfig).
 ENGINE_MEMORY_BUDGET = 1 << 30
-# Tokens of the consecutive sentences that forward_many and regularization batch together.
+# Peak bytes per word pair (S**2) of a sentence's backward, besides 8 in each layer's trace
+# (tracemalloc, yelp geometry, S = 2,000: 32.4 B at 1 layer, 40.6 at 2; csann 32.3; a pass 16.2).
+PAIR_BYTES = 25
+# Tokens of the consecutive sentences that forward_many batches together.
 WINDOW_TOKENS = 2048
 # Standard deviation of every freshly drawn parameter (see init_parameters).
 INIT_STD = 0.01
 
 
-def sigmoid(z: float) -> float:
-    if z >= 0:
-        return float(1.0 / (1.0 + np.exp(-z)))
-    e = np.exp(z)
-    return float(e / (1.0 + e))
+def sigmoid(z):
+    """Elementwise 1 / (1 + exp(-z)) as float64, each entry by the branch that cannot
+    overflow: 1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|) <= 1."""
+    e = np.exp(-abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)  # the numerator: 1 where z >= 0, else e
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,14 @@ def layer_traces(
 
 def predict(model, pooled: np.ndarray, attention=()) -> Prediction:
     """The sigmoid head's prediction from one sentence's mean-pooled last-layer output."""
-    y_hat = sigmoid(float(model.head_w @ pooled + model.head_b[0]))
+    y_hat = float(sigmoid(float(model.head_w @ pooled + model.head_b[0])))
     return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=attention)
+
+
+def head_logits(model, pooled: np.ndarray) -> np.ndarray:
+    """The head's logits of (B, d) pooled rows, each rounded as predict's head_w @ pooled:
+    the stacked product is one dot per row, where a 2-D gemv would block rows together."""
+    return (pooled[:, None, :] @ model.head_w)[:, 0] + model.head_b[0]
 
 
 def head_backward(model, outputs: np.ndarray, label) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,8 +253,8 @@ def forward_many(
     noise: NoiseChannel | None = None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-) -> Iterator[Prediction]:
-    """One prediction per token-id sequence, in order, a window at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per window, in input order: each sequence's prediction and squared embedding norm.
 
     Every sequence is checked before anything is built: the range test runs
     on the pass's distinct ids, and only a pass that fails it is checked
@@ -254,9 +263,11 @@ def forward_many(
     measured once.  A window holds consecutive sentences of at most
     WINDOW_TOKENS tokens, so memory does not grow with the pass; its
     sentences of one length run as (B, S, .) arrays through the attention
-    steps, the deeper layers' measurements and the pooling, and only the head
-    runs per sentence.  With shots a window is one sentence, so the draws keep
-    the per-sentence order.  Numbers and draws are those of ``layer_traces``.
+    steps, the deeper layers' measurements, the pooling and the norms, and the
+    head scores the window's pooled rows at once.  With shots a window is one
+    sentence, so the draws keep the per-sentence order.  Numbers and draws are
+    those of ``layer_traces``, ``predict`` and a sum of each sentence's
+    squared (S, d) rows.
     """
     sequences = list(sequences)  # held as given: a checked copy would grow with the pass
     distinct = list(set(itertools.chain.from_iterable(sequences)))  # bounded by the vocabulary
@@ -273,16 +284,20 @@ def forward_many(
     first = engines[0].measure(rows[present])[1]
     slot = np.cumsum(present) - 1  # each present word's row of `first`
     for window in length_groups(map(len, sequences), WINDOW_TOKENS if shots is None else 1):
-        predictions = {}
+        start = next(iter(window.values()))[0]  # the window's first sentence opens its first group
+        count = sum(map(len, window.values()))
+        pooled, norms = np.empty((count, rows.shape[1])), np.empty(count)
         for members in window.values():
             ids = np.array([sequences[i] for i in members])  # (B, S)
-            xs = attend(rows[ids], first[slot[ids]], shots, rng)[-1]
+            words = rows[ids]
+            xs = attend(words, first[slot[ids]], shots, rng)[-1]
             for engine in engines[1:]:
                 expectations = engine.measure(xs.reshape(-1, xs.shape[-1]))[1]
                 xs = attend(xs, expectations.reshape(*ids.shape, -1), shots, rng)[-1]
-            for i, pooled in zip(members, xs.mean(axis=1)):
-                predictions[i] = predict(model, pooled)
-        yield from (prediction for _, prediction in sorted(predictions.items()))
+            at = np.subtract(members, start)
+            pooled[at] = xs.mean(axis=1)
+            norms[at] = (words.reshape(len(members), -1) ** 2).sum(axis=1)
+        yield sigmoid(head_logits(model, pooled)), norms
 
 
 def forward(
@@ -299,20 +314,23 @@ def forward(
     return predict(model, traces[-1].outputs.mean(axis=0), matrices)
 
 
-def regularization(model, batch) -> float:
-    """Head-weight penalty plus batch-averaged embedding-norm penalty.  Same-length squared
-    norms are row sums of a (B, S d) array, each the pairwise sum of one (S, d) block."""
+def regularization(model, norms) -> float:
+    """Head-weight penalty plus the embedding-norm penalty averaged over a pass's squared
+    sentence norms (as ``forward_many`` yields them)."""
     d = model.embeddings.dim
     reg = model.lam / (2.0 * d) * float(model.head_w @ model.head_w)
     if model.gamma > 0.0:
-        sequences = [ids for ids, _ in batch]
-        norms = np.empty(len(sequences))
-        for window in length_groups(map(len, sequences), WINDOW_TOKENS):
-            for members in window.values():
-                words = model.embeddings.rows[np.array([sequences[i] for i in members])]
-                norms[members] = (words.reshape(len(members), -1) ** 2).sum(axis=1)
         reg += model.gamma / (2.0 * d) * float(np.mean(norms))
     return reg
+
+
+def score(pairs, labels, model) -> tuple[int, float]:
+    """(hits, half the mean squared error plus regularization) of a pass's (y_hat, norms) pairs."""
+    y_hat, norms = (np.concatenate(parts) for parts in zip(*pairs))
+    labels = np.array(labels, dtype=np.float64)
+    errors = np.float_power(y_hat - labels, 2.0)  # libm pow, as Python's ** 2; numpy's is x * x
+    hits = int(np.count_nonzero((y_hat >= 0.5) == labels))
+    return hits, float(np.mean(errors)) / 2.0 + regularization(model, norms)
 
 
 def loss(batch, model: QsannModel, noise: NoiseChannel | None = None) -> float:
@@ -320,9 +338,8 @@ def loss(batch, model: QsannModel, noise: NoiseChannel | None = None) -> float:
     batch = list(batch)
     if not batch:
         raise EmptySequenceError("loss needs at least one sample")
-    predictions = forward_many([ids for ids, _ in batch], model, noise)
-    errors = [(pred.y_hat - float(label)) ** 2 for pred, (_, label) in zip(predictions, batch)]
-    return float(np.mean(errors)) / 2.0 + regularization(model, batch)
+    pairs = forward_many([ids for ids, _ in batch], model, noise)
+    return score(pairs, [label for _, label in batch], model)[1]
 
 
 def parameter_count(model: QsannModel) -> tuple[int, int, int]:

@@ -135,7 +135,7 @@ class ModelKind:
     init: Callable  # (settings, vocab_size, rng) -> fresh model, drawn unless rng is None
     settings: Callable  # model -> dict of its model_config
     set_penalties: Callable  # (model, lam, gamma) -> None
-    forward: Callable  # (sequences, model, noise, shots, rng) -> Predictions, in order
+    forward: Callable  # (sequences, model, noise, shots, rng) -> (y_hat, norms) arrays in order
     backward: Callable  # (sample, model, noise) -> gradient dict
     params: Callable  # model -> live arrays, keyed as in checkpoints
     parameter_count: Callable  # model -> (qkv, head, total)
@@ -157,6 +157,13 @@ def _baseline_set_penalties(model, lam: float, gamma: float) -> None:
 
 def _baseline_settings(model) -> dict:
     return {"dim": model.embeddings.dim, "lam": model.lam, "gamma": model.gamma}
+
+
+def _one_by_one(forward, sequences, model):
+    """(y_hat, squared embedding norm) array pairs of a one-sentence forward, a sentence each."""
+    for ids in sequences:
+        y_hat = forward(ids, model).y_hat  # checks the ids first
+        yield np.array([y_hat]), np.array([float(np.sum(model.embeddings.rows[ids] ** 2))])
 
 
 MODEL_KINDS = {
@@ -185,8 +192,8 @@ MODEL_KINDS = {
             ),
             settings=_baseline_settings,
             set_penalties=_baseline_set_penalties,
-            forward=lambda seqs, m, noise, shots, rng: (
-                baselines.csann_forward(ids, m) for ids in seqs
+            forward=lambda seqs, m, noise, shots, rng: _one_by_one(
+                baselines.csann_forward, seqs, m
             ),
             backward=lambda sample, m, noise: baselines.csann_backward(sample, m),
             params=lambda m: baselines.csann_param_dict(m),
@@ -200,8 +207,8 @@ MODEL_KINDS = {
             ),
             settings=_baseline_settings,
             set_penalties=_baseline_set_penalties,
-            forward=lambda seqs, m, noise, shots, rng: (
-                baselines.naive_forward(ids, m) for ids in seqs
+            forward=lambda seqs, m, noise, shots, rng: _one_by_one(
+                baselines.naive_forward, seqs, m
             ),
             backward=lambda sample, m, noise: baselines.naive_backward(sample, m),
             params=lambda m: baselines.naive_param_dict(m),
@@ -239,18 +246,13 @@ def evaluate(
     """(accuracy, mean loss) of a model over labeled sequences.
 
     ``shots`` and ``rng`` sample the quantum model's expectations.  The
-    predictions are read as they are made, never held all at once.
+    predictions and norms come as arrays, a window at a time, and are scored whole.
     """
     samples = _as_samples(split)
     if not samples:
         raise EmptySequenceError("cannot evaluate an empty dataset")
-    predictions = kind_of(model).forward([ids for ids, _ in samples], model, noise, shots, rng)
-    hits = 0
-    errors = []
-    for (_, label), pred in zip(samples, predictions):
-        hits += int(pred.label == label)
-        errors.append((pred.y_hat - float(label)) ** 2)
-    mean_loss = float(np.mean(errors)) / 2.0 + model_mod.regularization(model, samples)
+    pairs = kind_of(model).forward([ids for ids, _ in samples], model, noise, shots, rng)
+    hits, mean_loss = model_mod.score(pairs, [label for _, label in samples], model)
     return hits / len(samples), mean_loss
 
 

@@ -221,8 +221,9 @@ class TestRunConfig:
         assert cfg.noise_channel() is None
 
 
-# the widest csann whose three float64 d x d projections fit the engine memory budget
-CSANN_MAX_DIM = math.isqrt(model_mod.ENGINE_MEMORY_BUDGET // 24)
+# the widest csann whose three float64 d x d projections, in the copies training holds of
+# every parameter, fit the engine memory budget
+CSANN_MAX_DIM = math.isqrt(model_mod.ENGINE_MEMORY_BUDGET // (training.TABLE_COPIES * 24))
 
 
 def test_csann_projections_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
@@ -330,6 +331,53 @@ def test_embedding_table_checked_against_the_budget(tmp_path, toy_tsv, capsys, m
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert "embedding table" in err
+    assert not out.exists()
+
+
+def test_csann_table_and_projections_checked_together(tmp_path, toy_tsv, capsys, monkeypatch):
+    # at the widest csann the table's copies and the projections' each fit, but not together
+    vocab = cli._build_dataset(RunConfig(str(toy_tsv))).vocabulary.size
+    table = training.TABLE_COPIES * 8 * vocab * CSANN_MAX_DIM
+    projections = training.TABLE_COPIES * 24 * CSANN_MAX_DIM**2
+    budget = model_mod.ENGINE_MEMORY_BUDGET
+    assert table <= budget and projections <= budget < table + projections
+
+    def never(*args):  # nothing of that width is allocated
+        raise AssertionError("the width was accepted")
+
+    monkeypatch.setattr(cli, "_run_experiment", never)
+    out = tmp_path / "out"
+    code = main(["train", "--dataset", str(toy_tsv), "--set", "model=csann",
+                 "--set", f"embed_dim={CSANN_MAX_DIM}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "table and projections" in err and str(table + projections) in err
+    assert not out.exists()
+
+
+def test_sentence_length_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
+    # a sentence's (S, S) attention arrays, checked once the dataset is built; the budget is
+    # made small, so nothing large is allocated either way
+    configs = [RunConfig(str(toy_tsv), model) for model in ("naive", "csann", "qsann")]
+    deeper = RunConfig(str(toy_tsv), "qsann", n_layers=2)  # 8 B more per word pair
+    splits = cli._build_dataset(configs[0]).splits.values()
+    longest = max(len(item.token_ids) for split in splits for item in split)
+    need = (model_mod.PAIR_BYTES + 8) * longest**2
+    monkeypatch.setattr(model_mod, "ENGINE_MEMORY_BUDGET", need)
+    for cfg in configs:
+        assert cli._build_dataset(cfg).train
+    more = need + 8 * longest**2
+    with pytest.raises(ConfigurationError, match=f"a {longest}-word sentence needs {more} "):
+        cli._build_dataset(deeper)
+    monkeypatch.setattr(model_mod, "ENGINE_MEMORY_BUDGET", need - 1)
+    for cfg in configs:
+        with pytest.raises(ConfigurationError, match=f"a {longest}-word sentence needs {need} "):
+            cli._build_dataset(cfg)
+    out = tmp_path / "out"
+    code = main(["train", "--dataset", str(toy_tsv), "--set", "model=naive", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert f"a {longest}-word sentence needs {need} bytes" in err
     assert not out.exists()
 
 

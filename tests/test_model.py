@@ -58,15 +58,38 @@ class TestForward:
         assert pred.y_hat == pytest.approx(expected, abs=1e-12)
 
     def test_predictions_are_python_floats_on_both_sides(self, rng):
-        # sigmoid's two branches (z >= 0 and z < 0) return the same type
-        for z in (0.0, 2.5, -2.5):
-            assert type(model_mod.sigmoid(z)) is float
+        # predict's y_hat is a Python float after either branch of sigmoid (z >= 0 and z < 0);
+        # a pass yields the same numbers as float64 arrays
         model = build_random_model(rng)
+        sequences = [[0], [1, 2], [3, 3, 4]]
         for bias in (5.0, -5.0):
             model.head_b[0] = bias
-            preds = list(model_mod.forward_many([[0], [1, 2], [3, 3, 4]], model))
+            preds = [forward(ids, model) for ids in sequences]
             assert [type(pred.y_hat) for pred in preds] == [float] * 3
             assert [pred.label for pred in preds] == [int(bias > 0)] * 3
+            ((y_hat, norms),) = model_mod.forward_many(sequences, model)
+            assert y_hat.dtype == norms.dtype == np.float64
+            assert repr(y_hat.tolist()) == repr([pred.y_hat for pred in preds])
+
+    def test_sigmoid_takes_arrays_with_the_scalar_branches_bits(self):
+        z = [0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 40.0, -40.0, 800.0, -800.0]
+        y = model_mod.sigmoid(np.array(z))
+        assert y.dtype == np.float64
+        assert repr(y.tolist()) == repr([scalar_sigmoid(v) for v in z])
+        assert [float(model_mod.sigmoid(v)) for v in z] == y.tolist()
+
+    def test_head_logits_are_each_rows_own_dot(self, rng):
+        # a pass scores a window's sentences together and predict each alone, with the
+        # same bits: a row's logit must not depend on the rows scored with it
+        for d in range(1, 41):
+            model = baselines.init_naive(3, d, None)
+            model.head_w[...] = rng.normal(0.0, 1.0, d)
+            model.head_b[0] = rng.normal()
+            pooled = rng.normal(0.0, 1.0, (model_mod.WINDOW_TOKENS, d))  # a window's most rows
+            alone = [float(model.head_w @ row + model.head_b[0]) for row in pooled]
+            for size in [*range(1, 301), len(pooled)]:
+                got = model_mod.head_logits(model, pooled[:size])
+                assert got.tolist() == alone[:size], (d, size)
 
     def test_permutation_invariance(self, rng):
         model = build_random_model(rng)
@@ -108,8 +131,8 @@ class TestForward:
             for matrix, seen, trace in zip(pred.attention, checked, traces):
                 assert type(matrix) is attention.AttentionMatrix and matrix is seen
                 assert np.array_equal(matrix.coefficients, trace.coefficients)
-            (alone,) = model_mod.forward_many([ids], model, None, shots, seeded())
-            assert repr(pred.y_hat) == repr(alone.y_hat)
+            ((alone, _),) = model_mod.forward_many([ids], model, None, shots, seeded())
+            assert repr(alone.tolist()) == repr([pred.y_hat])
 
     def test_empty_sequence(self, rng):
         with pytest.raises(EmptySequenceError):
@@ -140,12 +163,26 @@ def one_sentence_attend(xs, expectations, shots, rng):
     return coefficients, xs + coefficients @ values
 
 
+def scalar_sigmoid(z):
+    """The logistic function of one logit by two scalar branches, as one sentence's head
+    once took it."""
+    if z >= 0:
+        return float(1.0 / (1.0 + np.exp(-z)))
+    e = np.exp(z)
+    return float(e / (1.0 + e))
+
+
+def sentence_norm(model, ids):
+    """One sentence's squared embedding norm, summed on its own."""
+    return float(np.sum(model.embeddings.rows[list(ids)] ** 2))
+
+
 def per_sentence_regularization(model, batch):
     """The penalties with each sentence's embedding norm summed on its own."""
     d = model.embeddings.dim
     reg = model.lam / (2.0 * d) * float(model.head_w @ model.head_w)
     if model.gamma > 0.0:
-        norms = [float(np.sum(model.embeddings.rows[list(ids)] ** 2)) for ids, _ in batch]
+        norms = [sentence_norm(model, ids) for ids, _ in batch]
         reg += model.gamma / (2.0 * d) * float(np.mean(norms))
     return reg
 
@@ -161,11 +198,17 @@ def per_sentence(sequences, model, noise=None, shots=None, rng=None):
             coefficients, xs = one_sentence_attend(xs, engine.measure(xs)[1], shots, rng)
             layers.append(coefficients)
         pooled = xs.mean(axis=0)
-        yield model_mod.sigmoid(float(model.head_w @ pooled + model.head_b[0])), layers
+        yield scalar_sigmoid(float(model.head_w @ pooled + model.head_b[0])), layers
 
 
-def per_sentence_evaluate(samples, model, noise=None, shots=None, rng=None):
-    preds = [y for y, _ in per_sentence([ids for ids, _ in samples], model, noise, shots, rng)]
+def per_sentence_evaluate(samples, model, noise=None, shots=None, rng=None, reference=None):
+    """(accuracy, mean loss) from each sentence's prediction and norm on its own; the
+    predictions are per_sentence's unless a one-sentence ``reference`` forward is given."""
+    if reference is None:
+        sequences = [ids for ids, _ in samples]
+        preds = [y for y, _ in per_sentence(sequences, model, noise, shots, rng)]
+    else:
+        preds = [reference(ids, model).y_hat for ids, _ in samples]
     hits = sum(int((y >= 0.5) == label) for y, (_, label) in zip(preds, samples))
     errors = [(y - float(label)) ** 2 for y, (_, label) in zip(preds, samples)]
     mean_loss = float(np.mean(errors)) / 2.0 + per_sentence_regularization(model, samples)
@@ -200,12 +243,15 @@ def sentence_coefficients(calls, sequences, window, n_layers):
     return found
 
 
-def assert_same_predictions(got, coefficients, expected, n_layers):
-    assert len(got) == len(coefficients) == len(expected)
-    for new, layers_new, (y_hat, layers) in zip(got, coefficients, expected):
-        assert repr(new.y_hat) == repr(y_hat)
-        assert new.label == int(y_hat >= 0.5)
-        assert new.attention == ()
+def assert_same_predictions(pairs, coefficients, expected, n_layers, model, sequences, window):
+    """The pass's (y_hat, norms) pairs, one per window, hold the reference's bits in order."""
+    assert len(pairs) == len(list(model_mod.length_groups(map(len, sequences), window)))
+    y_hat, norms = (np.concatenate(parts) for parts in zip(*pairs))
+    assert y_hat.dtype == norms.dtype == np.float64
+    assert repr(norms.tolist()) == repr([sentence_norm(model, ids) for ids in sequences])
+    assert len(y_hat) == len(coefficients) == len(expected)
+    for new, layers_new, (ref, layers) in zip(y_hat.tolist(), coefficients, expected):
+        assert repr(new) == repr(ref)
         assert len(layers_new) == len(layers) == n_layers
         for a, b in zip(layers_new, layers):
             assert type(a) is np.ndarray and np.array_equal(a, b)
@@ -253,8 +299,9 @@ class TestForwardMany:
         expected = list(per_sentence(sequences, model, noise, shots, rng_ref))
         calls = recording_attend(monkeypatch)
         got = list(model_mod.forward_many(sequences, model, noise, shots, rng_new))
-        found = sentence_coefficients(calls, sequences, window if shots is None else 1, n_layers)
-        assert_same_predictions(got, found, expected, n_layers)
+        window = window if shots is None else 1
+        found = sentence_coefficients(calls, sequences, window, n_layers)
+        assert_same_predictions(got, found, expected, n_layers, model, sequences, window)
         if shots:  # both passes drew the same numbers from their rngs
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         ref = per_sentence_evaluate(samples, model, noise, shots, seeded())
@@ -395,20 +442,43 @@ class TestForwardMany:
         assert peak(4800) < 1.15 * peak(1200)
 
 
+def pass_norms(model, samples):
+    """The squared embedding norms a pass over the samples yields, in order."""
+    pairs = model_mod.forward_many([ids for ids, _ in samples], model)
+    return np.concatenate([norms for _, norms in pairs])
+
+
 class TestRegularization:
     @pytest.mark.parametrize("window", WINDOWS)
     def test_equals_per_sentence_norms(self, rng, monkeypatch, window):
+        # a pass's grouped norms are row sums of a (B, S d) array, each the pairwise sum of
+        # one sentence's (S, d) block, and the penalty averages them
         monkeypatch.setattr(model_mod, "WINDOW_TOKENS", window)
         model = build_random_model(rng, vocab_size=VOCAB, lam=0.3, gamma=0.7, scale=1.3)
         for samples in (vocabulary_pass(rng), same_length_pass(rng), [([5], 1)]):
-            assert repr(model_mod.regularization(model, samples)) == repr(
+            norms = pass_norms(model, samples)
+            assert repr(norms.tolist()) == repr([sentence_norm(model, ids) for ids, _ in samples])
+            assert repr(model_mod.regularization(model, norms)) == repr(
                 per_sentence_regularization(model, samples)
             )
         model.config = ModelConfig(2, 1, 1, 1, lam=0.3, gamma=0.0)
         samples = same_length_pass(rng)
-        assert repr(model_mod.regularization(model, samples)) == repr(
+        assert repr(model_mod.regularization(model, pass_norms(model, samples))) == repr(
             per_sentence_regularization(model, samples)
         )
+
+
+@pytest.mark.parametrize("kind", ["csann", "naive"])
+def test_baselines_evaluate_as_per_sentence(rng, kind):
+    # the baselines' (y_hat, norm) pairs come from their one-sentence forwards
+    entry = training.MODEL_KINDS[kind]
+    model = entry.init({"dim": 5, "lam": 0.3, "gamma": 0.7}, VOCAB, rng)
+    for arr in entry.params(model).values():
+        arr[...] = rng.normal(0.0, 1.3, arr.shape)  # logits of both signs, head_b too
+    reference = {"csann": baselines.csann_forward, "naive": baselines.naive_forward}[kind]
+    for samples in (vocabulary_pass(rng), same_length_pass(rng), [([5], 1)]):
+        expected = per_sentence_evaluate(samples, model, reference=reference)
+        assert repr(training.evaluate(samples, model)) == repr(expected)
 
 
 class TestLoss:
