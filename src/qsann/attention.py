@@ -15,9 +15,10 @@ which stays pure and, up to a global phase, real.  So a word's expectation
 of a Hermitian M is psi^T Re(M) psi of its real row psi.  The density-matrix
 kernels in ``sim`` are the reference the tests hold it to.
 
-A layer forward has two parts.  ``Engine(params, obs, noise)`` is the layer
+A layer forward has two parts.  ``Engine(params, noise)`` is the layer
 itself, built once per parameter setting: the noise, the circuits' column
-operators, U^dag E^dag(O) U and Re(M) of the effective observables M, against
+operators, U^dag E^dag(O) U of the observables O that the geometry fixes
+(``ObservableSet.default``) and Re(M) of the effective observables M, against
 which ``Engine.measure`` measures every forward's input rows, ENCODE_BLOCK at
 a time.  ``attend`` is the step from those expectations for a stack of
 same-length sentences: shot sampling, attention coefficients and the
@@ -82,7 +83,7 @@ class QsalLayerParams:
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """Ordered Pauli observables measured on the value circuit.
+    """Ordered Pauli observables measured on the value circuit, built by ``default``.
 
     The leading min(d, 3n) entries are always the singles Z_1..Z_n,
     X_1..X_n, Y_1..Y_n; any remainder comes from two-qubit pairs of equal
@@ -91,16 +92,6 @@ class ObservableSet:
     """
 
     observables: tuple[PauliString, ...]
-
-    def __post_init__(self) -> None:
-        if not self.observables:
-            raise ConfigurationError("ObservableSet must not be empty")
-        n = self.observables[0].n_qubits
-        if any(obs.n_qubits != n for obs in self.observables):
-            raise ConfigurationError("observables act on differing qubit counts")
-        head = list(self.observables[: 3 * n])
-        if head != _single_pauli_sequence(n)[: len(head)]:
-            raise ConfigurationError("the first min(d, 3n) observables must be Z, X, Y singles")
 
     @property
     def n_qubits(self) -> int:
@@ -132,7 +123,7 @@ class ObservableSet:
     def default(cls, n_qubits: int, size: int) -> "ObservableSet":
         if size < 1:
             raise ConfigurationError("observable count must be positive")
-        candidates = _single_pauli_sequence(n_qubits)
+        candidates = [PauliString.single(p, q, n_qubits) for p in "ZXY" for q in range(n_qubits)]
         seen = {str(obs) for obs in candidates}
         for stride in range(1, n_qubits):
             for letter in ("Z", "X", "Y"):
@@ -150,10 +141,6 @@ class ObservableSet:
                 f"(at most {len(candidates)})"
             )
         return cls(tuple(candidates[:size]))
-
-
-def _single_pauli_sequence(n_qubits: int) -> list[PauliString]:
-    return [PauliString.single(letter, q, n_qubits) for letter in "ZXY" for q in range(n_qubits)]
 
 
 @dataclass(frozen=True)
@@ -192,13 +179,8 @@ class Engine:
     every sentence of a pass.
     """
 
-    def __init__(
-        self, params: QsalLayerParams, obs: ObservableSet, noise: NoiseChannel | None = None
-    ):
-        if obs.size != params.input_dim:
-            raise ConfigurationError(
-                f"need {params.input_dim} observables to match the input dimension, got {obs.size}"
-            )
+    def __init__(self, params: QsalLayerParams, noise: NoiseChannel | None = None):
+        obs = ObservableSet.default(params.n_qubits, params.input_dim)
         self.n_qubits = params.n_qubits
         self.noise = noise if noise is not None and noise.p > 0.0 else None
         self.enc_spec, self.qkv_spec = params.enc_spec, params.qkv_spec
@@ -206,7 +188,7 @@ class Engine:
         # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
         self.columns = column_operators(self.qkv_spec, thetas)
         unitaries = ansatz_unitaries(self.columns)
-        self.observed = obs.under(self.noise)  # E^dag(O), shared by every engine of obs
+        self.observed = obs.under(self.noise)  # E^dag(O), shared by the geometry's engines
         self.circuits, observables = measured_quantities(obs.size)
         u = unitaries[self.circuits]  # each measured quantity's circuit
         # (2 + d, 2**n, 2**n) U^dag E^dag(O) U of each measured quantity, and Re(M) of each, the
@@ -341,7 +323,6 @@ def attend(
 def layer_forward(
     inputs,
     params: QsalLayerParams,
-    obs: ObservableSet,
     noise: NoiseChannel | None = None,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
@@ -349,7 +330,7 @@ def layer_forward(
     """One attention layer with its trace: the layer's engine, the words'
     encoder states measured against it, then the attention step."""
     xs = _check_inputs(inputs, params)
-    engine = Engine(params, obs, noise)
+    engine = Engine(params, noise)
     encoded, expectations = engine.measure(xs)
     zq, zk, values, coefficients, outputs = attend(xs[None], expectations[None], shots, rng)
     return LayerTrace(xs, encoded, engine, zq[0], zk[0], values[0], coefficients[0], outputs[0])

@@ -107,18 +107,8 @@ class RunConfig:
         self.train_config(seed=self.seeds[0])
 
     def train_config(self, seed: int) -> training.TrainConfig:
-        return training.TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lam=self.lam,
-            gamma=self.gamma,
-            seed=seed,
-            stop_window=self.stop_window,
-            stop_tol=self.stop_tol,
-            shuffle=self.shuffle,
-            dev_early_stop=self.dev_early_stop,
-        )
+        names = (f.name for f in dataclasses.fields(training.TrainConfig) if f.name != "seed")
+        return training.TrainConfig(seed=seed, **{name: getattr(self, name) for name in names})
 
     def noise_channel(self) -> NoiseChannel | None:
         # p = 0 is the identity channel; run the exact noiseless path.
@@ -222,6 +212,13 @@ def _resolve_out_dir(args, config_hint: str) -> Path:
     return Path(root) / config_hint
 
 
+def _make_out_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {path}: {exc.strerror}")
+
+
 def _build_dataset(cfg: RunConfig) -> data.Dataset:
     if not Path(cfg.dataset_path).exists():
         raise ConfigurationError(f"dataset not found: {cfg.dataset_path}")
@@ -240,10 +237,12 @@ def _build_dataset(cfg: RunConfig) -> data.Dataset:
 
 def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Dataset]:
     """(output directory, dataset) of a training command, its config written there once the
-    dataset is built and the parameter copies training holds fit the memory budget."""
+    dataset has training samples and the parameter copies training holds fit the budget."""
     hint = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _resolve_out_dir(args, f"{hint}_{suffix}")
     dataset = _build_dataset(cfg)
+    if not dataset.train:
+        raise ConfigurationError(f"ratios {cfg.ratios} leave the training split empty")
     vocab, budget = dataset.vocabulary.size, model_mod.ENGINE_MEMORY_BUDGET
     square = 3 * cfg.embed_dim if cfg.model == "csann" else 0  # rows of csann's projections
     need = training.TABLE_COPIES * 8 * (vocab + square) * cfg.embed_dim
@@ -253,7 +252,7 @@ def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Datas
             f"embedding table{' and projections' if square else ''} need {need} bytes, over "
             f"the {budget}-byte budget"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     _write_json(out_dir / "config.json", cfg.to_dict())
     return out_dir, dataset
 
@@ -372,6 +371,8 @@ def _load_checkpoint_split(args) -> tuple:
 def cmd_eval(args) -> int:
     if args.shot_seed < 0:
         raise ConfigurationError(f"--shot-seed must be non-negative, got {args.shot_seed}")
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ConfigurationError(f"--out {args.out} must name a file in an existing directory")
     model, _, split, noise = _load_checkpoint_split(args)
     if not split:
         raise ConfigurationError(f"{args.split} split is empty")
@@ -405,7 +406,7 @@ def cmd_attention(args) -> int:
                 f"sample index {idx} out of range for {len(split)} {args.split} samples"
             )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     for idx in indices:
         item = split[idx]
         words = vocab.decode(item.token_ids)

@@ -169,7 +169,7 @@ def layer_traces(
     xs = model.embeddings.rows[ids]
     traces = []
     for layer in model.layers:
-        traces.append(layer_forward(xs, layer, model.observables, noise, shots, rng))
+        traces.append(layer_forward(xs, layer, noise, shots, rng))
         xs = traces[-1].outputs
     return traces
 
@@ -248,7 +248,7 @@ def length_groups(lengths, limit: int) -> Iterator[dict[int, list[int]]]:
 
 
 def forward_many(
-    sequences,
+    sequences: list,
     model: QsannModel,
     noise: NoiseChannel | None = None,
     shots: int | None = None,
@@ -256,6 +256,7 @@ def forward_many(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per window, in input order: each sequence's prediction and squared embedding norm.
 
+    ``sequences`` is a list, read in place: a copy would grow with the pass.
     Every sequence is checked before anything is built: the range test runs
     on the pass's distinct ids, and only a pass that fails it is checked
     sentence by sentence, so that the first bad sentence raises.  Each
@@ -269,7 +270,6 @@ def forward_many(
     those of ``layer_traces``, ``predict`` and a sum of each sentence's
     squared (S, d) rows.
     """
-    sequences = list(sequences)  # held as given: a checked copy would grow with the pass
     distinct = list(set(itertools.chain.from_iterable(sequences)))  # bounded by the vocabulary
     rows = model.embeddings.rows
     in_range = not distinct or 0 <= min(distinct) and max(distinct) < len(rows)
@@ -280,7 +280,7 @@ def forward_many(
         return
     present = np.zeros(len(rows), dtype=bool)
     present[distinct] = True  # IndexError for an id that is no integer
-    engines = [Engine(layer, model.observables, noise) for layer in model.layers]
+    engines = [Engine(layer, noise) for layer in model.layers]
     first = engines[0].measure(rows[present])[1]
     slot = np.cumsum(present) - 1  # each present word's row of `first`
     for window in length_groups(map(len, sequences), WINDOW_TOKENS if shots is None else 1):

@@ -57,15 +57,14 @@ class TrainConfig:
 class AdamState:
     """Adam's moments as flat vectors over ``layout``, the first step's ((key, shape), ...)."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     layout: tuple = ()
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
 
+# Adam's decay rates and denominator offset (Kingma & Ba, arXiv:1412.6980).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # Copies of the embedding table training holds at most at once, checked against the memory
 # budget: the table, its last good snapshot, Adam's m and v, and three gradient-sized vectors
 # (adam_step's given gradient, flat gather and temporary; or a batch's sum and two samples').
@@ -98,17 +97,17 @@ def adam_step(
         bad = next(key for key in params if not np.isfinite(grads[key]).all())
         raise TrainingAborted(f"non-finite gradient in {bad!r}")
     state.step += 1
-    correction1 = 1.0 - state.beta1**state.step
-    correction2 = 1.0 - state.beta2**state.step
+    correction1 = 1.0 - BETA1**state.step
+    correction2 = 1.0 - BETA2**state.step
     # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, p -= lr (m / c1) / (sqrt(v / c2) + eps):
     # each operation of these expressions, rounded as they round it, in place in m, v, g and t
-    t = np.multiply(g, 1.0 - state.beta1)
-    state.m *= state.beta1
+    t = np.multiply(g, 1.0 - BETA1)
+    state.m *= BETA1
     state.m += t
-    state.v *= state.beta2
-    state.v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=t), g, out=t)
+    state.v *= BETA2
+    state.v += np.multiply(np.multiply(g, 1.0 - BETA2, out=t), g, out=t)
     step = np.multiply(np.divide(state.m, correction1, out=g), learning_rate, out=g)
-    step /= np.add(np.sqrt(np.divide(state.v, correction2, out=t), out=t), state.eps, out=t)
+    step /= np.add(np.sqrt(np.divide(state.v, correction2, out=t), out=t), EPS, out=t)
     for param, part in zip(params.values(), _views(step, params).values()):
         param -= part
     return state

@@ -75,14 +75,6 @@ class TestObservableSet:
         with pytest.raises(ConfigurationError):
             ObservableSet.default(1, 4)
 
-    def test_wrong_head_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ObservableSet((PauliString.from_str("XI"), PauliString.from_str("IZ")))
-
-
-def traced(inputs, layer, **kwargs):
-    obs = ObservableSet.default(layer.n_qubits, layer.input_dim)
-    return layer_forward(inputs, layer, obs, **kwargs)
 
 
 class TestObservablesUnderNoise:
@@ -113,11 +105,11 @@ class TestObservablesUnderNoise:
     def test_engines_share_the_held_stack_and_pure_reads_the_matrices(self, rng):
         obs = ObservableSet.default(2, 6)
         noise = NoiseChannel("depolarizing", 0.1)
-        first = Engine(random_layer(rng), obs, noise)
-        assert Engine(random_layer(rng), obs, noise).observed is first.observed
+        first = Engine(random_layer(rng), noise)
+        assert Engine(random_layer(rng), noise).observed is first.observed
         assert first.observed is obs.under(noise)
         for pure in (None, NoiseChannel("amplitude_damping", 0.0)):
-            assert Engine(random_layer(rng), obs, pure).observed is obs.matrices
+            assert Engine(random_layer(rng), pure).observed is obs.matrices
 
 
 @pytest.mark.parametrize(
@@ -130,7 +122,7 @@ def test_measure_is_row_independent(rng, n, noise):
     # a pass measures its distinct words together and a training step each sentence alone,
     # with the same bits: a row's must not depend on the rows measured with it
     layer = random_layer(rng, n, 1, 1, std=0.8)
-    engine = Engine(layer, ObservableSet.default(n, layer.input_dim), noise)
+    engine = Engine(layer, noise)
     rows = rng.uniform(-4, 4, (ENCODE_BLOCK, layer.input_dim))
     states, full = engine.measure(rows)
     for size in (1, 7):
@@ -144,14 +136,14 @@ def test_measure_is_row_independent(rng, n, noise):
 class TestQueryKey:
     def test_zero_parameters_give_zero_projection(self):
         # theta = 0, x = 0: the state stays an equal superposition, <Z_1> = 0
-        trace = traced(np.zeros((3, 6)), zero_layer())
+        trace = layer_forward(np.zeros((3, 6)), zero_layer())
         assert np.allclose(trace.zq, 0.0, atol=1e-12)
         assert np.allclose(trace.zk, 0.0, atol=1e-12)
 
     def test_matches_full_matrix_oracle(self, rng):
         layer = random_layer(rng)
         x = rng.uniform(-1, 1, 6)
-        zq = traced(x, layer).zq
+        zq = layer_forward(x, layer).zq
         gates = [Gate("H", 0), Gate("H", 1)] + build_circuit(layer.enc_spec, x)
         psi = circuit_unitary(gates, 2) @ init_zero_state(2).amplitudes
         uq = circuit_unitary(build_circuit(layer.qkv_spec, layer.theta_q.values), 2)
@@ -161,32 +153,32 @@ class TestQueryKey:
 
     def test_bounded(self, rng):
         layer = random_layer(rng)
-        trace = traced(rng.uniform(-6, 6, (100, 6)), layer)
+        trace = layer_forward(rng.uniform(-6, 6, (100, 6)), layer)
         assert np.all(np.abs(trace.zq) <= 1.0) and np.all(np.abs(trace.zk) <= 1.0)
 
     def test_identical_inputs_identical_outputs(self, rng):
         layer = random_layer(rng)
-        trace = traced(np.tile(rng.uniform(-1, 1, 6), (4, 1)), layer)
+        trace = layer_forward(np.tile(rng.uniform(-1, 1, 6), (4, 1)), layer)
         assert np.all(trace.zq == trace.zq[0]) and np.all(trace.zk == trace.zk[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            traced(np.zeros((2, 5)), zero_layer())
+            layer_forward(np.zeros((2, 5)), zero_layer())
 
 
 class TestValues:
     def test_output_dimension_n4(self, rng):
         layer = random_layer(rng, n=4)
-        values = traced(rng.uniform(-1, 1, 12), layer).values
+        values = layer_forward(rng.uniform(-1, 1, 12), layer).values
         assert values.shape == (1, 12)
 
     def test_entries_bounded(self, rng):
         layer = random_layer(rng)
-        values = traced(rng.uniform(-6, 6, (50, 6)), layer).values
+        values = layer_forward(rng.uniform(-6, 6, (50, 6)), layer).values
         assert np.all(np.abs(values) <= 1.0)
 
     def test_zero_angles_z_entries_vanish(self):
-        values = traced(np.zeros(6), zero_layer()).values
+        values = layer_forward(np.zeros(6), zero_layer()).values
         assert np.allclose(values[0, :2], 0.0, atol=1e-12)  # Z singles on |+..+>
 
 
@@ -254,33 +246,29 @@ class TestAttentionMatrixType:
 class TestLayerForward:
     def test_single_word_residual(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         x = rng.uniform(-1, 1, 6)
-        trace = layer_forward(x, layer, obs)
+        trace = layer_forward(x, layer)
         assert trace.coefficients.tolist() == [[1.0]]
         assert np.allclose(trace.outputs[0], x + trace.values[0], atol=1e-12)
 
     def test_shapes(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
-        trace = layer_forward(rng.uniform(-1, 1, (5, 6)), layer, obs)
+        trace = layer_forward(rng.uniform(-1, 1, (5, 6)), layer)
         assert trace.outputs.shape == (5, 6)
         assert trace.coefficients.shape == (5, 5)
 
     def test_output_bound(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-3, 3, (6, 6))
-        outputs = layer_forward(xs, layer, obs).outputs
+        outputs = layer_forward(xs, layer).outputs
         assert np.all(np.abs(outputs) <= np.abs(xs) + 1.0 + 1e-12)
 
     def test_permutation_equivariance(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (4, 6))
         perm = rng.permutation(4)
-        a = layer_forward(xs, layer, obs)
-        b = layer_forward(xs[perm], layer, obs)
+        a = layer_forward(xs, layer)
+        b = layer_forward(xs[perm], layer)
         assert np.allclose(b.outputs, a.outputs[perm], atol=1e-12)
         assert np.allclose(
             b.coefficients,
@@ -290,58 +278,48 @@ class TestLayerForward:
 
     def test_deterministic(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        out_a = layer_forward(xs, layer, obs).outputs
-        out_b = layer_forward(xs, layer, obs).outputs
+        out_a = layer_forward(xs, layer).outputs
+        out_b = layer_forward(xs, layer).outputs
         assert np.array_equal(out_a, out_b)
 
     def test_residual_identity_with_zero_values(self, rng, monkeypatch):
         # forcing the measured expectations to zero must give y = x exactly
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
         monkeypatch.setattr(
             Engine,
             "expect",
             lambda self, states: np.zeros((len(states), len(self.circuits))),
         )
-        assert np.array_equal(layer_forward(xs, layer, obs).outputs, xs)
-
-    def test_observable_count_must_match(self, rng):
-        layer = random_layer(rng)
-        with pytest.raises(ConfigurationError):
-            layer_forward(np.zeros((2, 6)), layer, ObservableSet.default(2, 5))
+        assert np.array_equal(layer_forward(xs, layer).outputs, xs)
 
     def test_empty_sequence(self):
         with pytest.raises(EmptySequenceError):
-            layer_forward(np.zeros((0, 6)), zero_layer(), ObservableSet.default(2, 6))
+            layer_forward(np.zeros((0, 6)), zero_layer())
 
 
 class TestNoisyLayer:
     def test_p_zero_short_circuits_to_pure(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        clean = layer_forward(xs, layer, obs).outputs
-        zeroed = layer_forward(xs, layer, obs, noise=NoiseChannel("depolarizing", 0.0))
+        clean = layer_forward(xs, layer).outputs
+        zeroed = layer_forward(xs, layer, noise=NoiseChannel("depolarizing", 0.0))
         assert np.array_equal(clean, zeroed.outputs)
 
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
     def test_noise_changes_outputs(self, rng, kind):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        clean = layer_forward(xs, layer, obs).outputs
-        noisy = layer_forward(xs, layer, obs, noise=NoiseChannel(kind, 0.2)).outputs
+        clean = layer_forward(xs, layer).outputs
+        noisy = layer_forward(xs, layer, noise=NoiseChannel(kind, 0.2)).outputs
         assert np.max(np.abs(noisy - clean)) > 1e-3
 
     def test_noisy_rows_still_stochastic(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (4, 6))
         for kind in ("depolarizing", "amplitude_damping"):
-            trace = layer_forward(xs, layer, obs, noise=NoiseChannel(kind, 0.75))
+            trace = layer_forward(xs, layer, noise=NoiseChannel(kind, 0.75))
             assert np.max(np.abs(trace.coefficients.sum(axis=1) - 1.0)) < 1e-10
             assert np.all(np.isfinite(trace.outputs))
 
@@ -351,25 +329,24 @@ class TestNoisyLayer:
         obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
         zq, zk, values = dm_expectations(xs, layer, obs, NoiseChannel("depolarizing", 0.0))
-        trace = layer_forward(xs, layer, obs)
+        trace = layer_forward(xs, layer)
         assert np.allclose(values, trace.values, atol=1e-10)
         assert np.allclose(zq, trace.zq, atol=1e-10) and np.allclose(zk, trace.zk, atol=1e-10)
 
     def test_depolarizing_shrinks_projections(self, rng):
         layer = random_layer(rng)
         xs = rng.uniform(-1, 1, (3, 6))
-        zq_clean = traced(xs, layer).zq
-        zq_noisy = traced(xs, layer, noise=NoiseChannel("depolarizing", 0.75)).zq
+        zq_clean = layer_forward(xs, layer).zq
+        zq_noisy = layer_forward(xs, layer, noise=NoiseChannel("depolarizing", 0.75)).zq
         assert np.max(np.abs(zq_noisy)) <= np.max(np.abs(zq_clean)) + 1e-12
 
 
 class TestShotSampling:
     def test_sampled_layer_runs_and_differs(self, rng):
         layer = random_layer(rng)
-        obs = ObservableSet.default(2, 6)
         xs = rng.uniform(-1, 1, (3, 6))
-        exact = layer_forward(xs, layer, obs).outputs
-        sampled = layer_forward(xs, layer, obs, shots=64, rng=np.random.default_rng(0))
+        exact = layer_forward(xs, layer).outputs
+        sampled = layer_forward(xs, layer, shots=64, rng=np.random.default_rng(0))
         assert np.max(np.abs(sampled.coefficients.sum(axis=1) - 1.0)) < 1e-10
         assert not np.array_equal(exact, sampled.outputs)
 
@@ -377,12 +354,12 @@ class TestShotSampling:
         # many shots converge on the exact expectations; a seed fixes the draw
         layer = random_layer(rng)
         xs = rng.uniform(-1, 1, (2, 6))
-        exact = traced(xs, layer)
-        est = traced(xs, layer, shots=200_000, rng=rng)
+        exact = layer_forward(xs, layer)
+        est = layer_forward(xs, layer, shots=200_000, rng=rng)
         for name in ("zq", "zk", "values"):
             assert np.allclose(getattr(est, name), getattr(exact, name), atol=0.01)
-        same = traced(xs, layer, shots=100, rng=np.random.default_rng(3))
-        again = traced(xs, layer, shots=100, rng=np.random.default_rng(3))
+        same = layer_forward(xs, layer, shots=100, rng=np.random.default_rng(3))
+        again = layer_forward(xs, layer, shots=100, rng=np.random.default_rng(3))
         assert np.array_equal(same.outputs, again.outputs)
 
     def test_draw_order_is_query_key_values(self, rng):
@@ -419,12 +396,12 @@ class TestShotSampling:
 
     def test_shots_need_rng(self, rng):
         with pytest.raises(ConfigurationError):
-            traced(np.zeros((1, 6)), random_layer(rng), shots=16)
+            layer_forward(np.zeros((1, 6)), random_layer(rng), shots=16)
 
     @pytest.mark.parametrize("shots", [0, -1])
     def test_shots_below_one_rejected(self, rng, shots):
         with pytest.raises(ConfigurationError):
-            traced(np.zeros((1, 6)), random_layer(rng), shots=shots, rng=rng)
+            layer_forward(np.zeros((1, 6)), random_layer(rng), shots=shots, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +508,7 @@ class TestDensityMatrixReference:
 
     def test_forward(self, kind, p, n):
         layer, obs, xs, noise, _ = self.case(kind, p, n)
-        trace = layer_forward(xs, layer, obs, noise)
+        trace = layer_forward(xs, layer, noise)
         zq, zk, values = dm_expectations(xs, layer, obs, noise)
         assert np.max(np.abs(trace.zq - zq)) < 1e-12
         assert np.max(np.abs(trace.zk - zk)) < 1e-12
@@ -543,7 +520,7 @@ class TestDensityMatrixReference:
     def test_backward(self, kind, p, n):
         layer, obs, xs, noise, rng = self.case(kind, p, n)
         g = rng.normal(size=xs.shape)
-        trace = layer_forward(xs, layer, obs, noise)
+        trace = layer_forward(xs, layer, noise)
         got = layer_backward(trace, g)
         want = reference_backward(xs, layer, obs, g, noise)
         for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):

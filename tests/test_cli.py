@@ -841,3 +841,65 @@ class TestOutputRoot:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fast_config(toy_tsv)))
         assert main(["train", "--config", str(cfg_path)]) == 2
+
+
+class TestRefusedBeforeWriting:
+    """Exit 2, one stderr line, and nothing written: not even the run's config."""
+
+    def refused(self, argv, capsys):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("command", [["train"], ["noise-sweep", "--p-list", "0,0.1"]])
+    def test_empty_training_split(self, tmp_path, toy_tsv, capsys, command):
+        out = tmp_path / "out"
+        err = self.refused(command + [
+            "--preset", "toy", "--dataset", str(toy_tsv), "--seeds", "0",
+            "--set", "ratios=[0.0,1.0]", "--out", str(out),
+        ], capsys)
+        assert "training split empty" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["train"], ["noise-sweep", "--p-list", "0,0.1"]])
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_training_output_directory_under_or_at_a_file(
+        self, tmp_path, toy_tsv, capsys, command, below
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        err = self.refused(command + [
+            "--preset", "toy", "--dataset", str(toy_tsv), "--seeds", "0",
+            "--out", str(taken.joinpath(*below)),
+        ], capsys)
+        assert "cannot create output directory" in err
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+    def test_attention_output_directory_is_a_file(self, tmp_path, toy_checkpoint, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        self.refused([
+            "attention", "--checkpoint", str(toy_checkpoint), "--indices", "0",
+            "--out", str(taken),
+        ], capsys)
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("report", ["missing/report.json", "taken/report.json", "."])
+    def test_eval_report_path_refused_before_evaluating(
+        self, tmp_path, toy_checkpoint, capsys, monkeypatch, report
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before the report path was checked")
+
+        monkeypatch.setattr(training, "evaluate", never)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        err = self.refused([
+            "eval", "--checkpoint", str(toy_checkpoint), "--out", str(tmp_path / report),
+        ], capsys)
+        assert "must name a file in an existing directory" in err
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"

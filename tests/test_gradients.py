@@ -135,7 +135,7 @@ def test_adjoint_layer_backward_matches_parameter_shift(n, enc_depth, qkv_depth,
     for n_words in (1, 3, 12):
         u = rng.uniform(-2, 2, (n_words, layer.input_dim))
         g = rng.normal(size=u.shape)
-        trace = layer_forward(u, layer, obs, noise)
+        trace = layer_forward(u, layer, noise)
         got = layer_backward(trace, g)
         want = shift_layer_backward(layer, obs, trace, g, noise)
         for name, a, b in zip(("theta_q", "theta_k", "theta_v", "u"), got, want):
@@ -195,7 +195,7 @@ def test_real_rows_match_the_complex_path(n, enc_depth, noise):
     layer = random_layer(rng, n, enc_depth, 1, std=0.8)
     u = rng.uniform(-4, 4, (12, layer.input_dim))
     g = rng.normal(size=u.shape)
-    trace = layer_forward(u, layer, ObservableSet.default(n, layer.input_dim), noise)
+    trace = layer_forward(u, layer, noise)
     effective = trace.engine.apply(trace.engine.heisenberg)  # the complex M of each quantity
     states = complex_encode(u, layer.enc_spec)
     want = np.clip(complex_expect(states, effective), -1.0, 1.0)
@@ -285,11 +285,10 @@ class TestLayerInputGradient:
     def test_four_term_decomposition_matches_fd(self, rng):
         # phi(u) = sum(g * layer_forward(u)) probed by finite differences
         layer = random_layer(rng, 2, 1, 1, std=0.5)
-        obs = ObservableSet.default(2, 6)
         u = rng.uniform(-1, 1, (3, 6))
         g = rng.normal(0, 1, (3, 6))
 
-        trace = layer_forward(u, layer, obs)
+        trace = layer_forward(u, layer)
         _, _, _, d_u = layer_backward(trace, g)
 
         h = 1e-5
@@ -298,8 +297,8 @@ class TestLayerInputGradient:
                 u_plus, u_minus = u.copy(), u.copy()
                 u_plus[s, r] += h
                 u_minus[s, r] -= h
-                phi_plus = float(np.sum(g * layer_forward(u_plus, layer, obs).outputs))
-                phi_minus = float(np.sum(g * layer_forward(u_minus, layer, obs).outputs))
+                phi_plus = float(np.sum(g * layer_forward(u_plus, layer).outputs))
+                phi_minus = float(np.sum(g * layer_forward(u_minus, layer).outputs))
                 fd = (phi_plus - phi_minus) / (2 * h)
                 assert d_u[s, r] == pytest.approx(fd, abs=1e-5)
 
@@ -310,10 +309,9 @@ class TestLongSentences:
         # ENCODE_BLOCK words at a time: the layer-input gradient is the same to the
         # bit, the circuit gradients up to the order in which the blocks are summed
         layer = random_layer(rng, 4, 1, 1, std=0.8)
-        obs = ObservableSet.default(4, layer.input_dim)
         u = rng.uniform(-2, 2, (200, layer.input_dim))
         g = rng.normal(size=u.shape)
-        trace = layer_forward(u, layer, obs, noise)
+        trace = layer_forward(u, layer, noise)
         blocked = layer_backward(trace, g)
         monkeypatch.setattr(attention, "ENCODE_BLOCK", len(u))
         whole = layer_backward(trace, g)
@@ -337,8 +335,7 @@ class TestLongSentences:
         monkeypatch.setattr(attention.Engine, "expect", expect)
 
         def run():
-            trace = layer_forward(model.embeddings.rows[ids], model.layers[0], model.observables,
-                                  noise)
+            trace = layer_forward(model.embeddings.rows[ids], model.layers[0], noise)
             grads = bundle_as_dict(backward((ids, 1), model, noise))
             return trace, grads, model_mod.forward(ids, model, noise)
 

@@ -51,7 +51,7 @@ class TestForward:
         model = build_random_model(rng)
         pred = forward([2], model)
         xs = model.embeddings.rows[[2]]
-        outputs = attention.layer_forward(xs, model.layers[0], model.observables).outputs
+        outputs = attention.layer_forward(xs, model.layers[0]).outputs
         from qsann.model import sigmoid
 
         expected = sigmoid(float(model.head_w @ outputs[0] + model.head_b[0]))
@@ -190,7 +190,7 @@ def per_sentence_regularization(model, batch):
 def per_sentence(sequences, model, noise=None, shots=None, rng=None):
     """The reference for forward_many: every sentence measured, attended and pooled
     on its own, layer by layer.  Yields (y_hat, coefficients of each layer)."""
-    engines = [attention.Engine(layer, model.observables, noise) for layer in model.layers]
+    engines = [attention.Engine(layer, noise) for layer in model.layers]
     for ids in sequences:
         xs = model.embeddings.rows[list(ids)]
         layers = []
@@ -430,16 +430,19 @@ class TestForwardMany:
         sequences = [list(rng.integers(0, VOCAB, 4 + i % 9)) for i in range(4800)]
 
         def peak(count):
+            passed = sequences[:count]  # the caller's list, sliced outside the measured span
             tracemalloc.start()
             try:
-                for _ in model_mod.forward_many(sequences[:count], model):
+                for _ in model_mod.forward_many(passed, model):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
+        for _ in model_mod.forward_many(sequences[:1200], model):
+            pass  # untraced, so that first-call caches are warm in both measured passes
         assert sum(map(len, sequences[:1200])) > 4 * model_mod.WINDOW_TOKENS
-        assert peak(4800) < 1.15 * peak(1200)
+        assert peak(4800) < 1.05 * peak(1200)
 
 
 def pass_norms(model, samples):
