@@ -8,8 +8,8 @@ circuit and as the data encoder, whose angles are the input vector, after
 a Hadamard layer.
 
 A column's rotations commute, so each column is one 2**n x 2**n operator,
-the Kronecker product of its rotations (times the ring's permutation when
-a ring precedes it); a circuit's unitary is their ordered product.  The
+the Kronecker product of its rotations (columns reordered by a preceding
+ring), complex for RX and real for RY; a circuit's unitary is their product.  The
 gate-by-gate kernels serve only ``circuit_expectation`` and ``param_shift_grad``.
 The encoder runs in closed form on real rows: RX(a)|+> = exp(-i a/2)|+> and
 the later columns are real, so ``encode_batch`` drops that global phase
@@ -37,7 +37,6 @@ from .sim import (
     apply_cnot_batch,
     apply_rotation_batch,
     expectation_batch,
-    rotation_matrix,
 )
 
 
@@ -146,27 +145,47 @@ def _cnot_ring(n_qubits: int) -> np.ndarray:
     return ring
 
 
-def column_operators(spec: AnsatzSpec, angles) -> np.ndarray:
-    """(..., depth + 2, 2**n, 2**n) column operators C_l for (..., param_count)
-    angles, qubit 0 leftmost; the circuit's unitary is C_{L-1} ... C_1 C_0."""
+@functools.lru_cache(maxsize=None)
+def _column_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (ring order, RX phases): (A @ Ring)[:, j] = A[:, order[j]], and the phase
+    (-i)**k of each RX column entry, k the qubits whose row and column bits differ."""
+    rows = np.arange(2**n_qubits)
+    flips = sum(((rows[:, None] ^ rows) >> q) & 1 for q in range(n_qubits))
+    tables = _cnot_ring(n_qubits).argmax(axis=0), np.array([1, -1j, -1, 1j])[flips % 4]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def column_operators(spec: AnsatzSpec, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Column operators C_l for (..., param_count) angles, qubit 0 leftmost: the complex RX
+    column C_0, (..., 2**n, 2**n), and the real later ones, (..., depth + 1, 2**n, 2**n);
+    the circuit's unitary is C_{L-1} ... C_1 C_0."""
     angles = _check_width(spec, angles)
     n = spec.n_qubits
-    per_column = angles.reshape(angles.shape[:-1] + (spec.depth + 2, n))
-    rotations = rotation_matrix("RY", per_column)  # (..., L, n, 2, 2)
-    rotations[..., 0, :, :, :] = rotation_matrix("RX", per_column[..., 0, :])
-    ops = rotations[..., 0, :, :]
+    half = angles.reshape(angles.shape[:-1] + (spec.depth + 2, n)) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    # (..., L, n, 2, 2) real factors: RY's [[c, -s], [s, c]], the RX moduli [[c, s], [s, c]]
+    factors = np.stack([cos, -sin, sin, cos], axis=-1).reshape(half.shape + (2, 2))
+    factors[..., 0, :, 0, 1] = sin[..., 0, :]
+    ops = factors[..., 0, :, :]
     for q in range(1, n):
-        ops = np.einsum("...ab,...cd->...acbd", ops, rotations[..., q, :, :])
+        ops = np.einsum("...ab,...cd->...acbd", ops, factors[..., q, :, :])
         ops = ops.reshape(ops.shape[:-4] + (2 ** (q + 1), 2 ** (q + 1)))
     if spec.depth and n > 1:
-        ops[..., 2:, :, :] = ops[..., 2:, :, :] @ _cnot_ring(n)
-    return ops
+        ops[..., 2:, :, :] = ops[..., 2:, :, _column_tables(n)[0]]
+    return ops[..., 0, :, :] * _column_tables(n)[1], ops[..., 1:, :, :]
 
 
-def ansatz_unitaries(columns: np.ndarray) -> np.ndarray:
-    """(rows, 2**n, 2**n) unitaries of the ansatz, the ordered product of each
-    row's column operators, given (rows, depth + 2, 2**n, 2**n) of them."""
-    return functools.reduce(lambda unitaries, ops: ops @ unitaries, columns.swapaxes(0, 1))
+def real_product(real: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """real @ ops as one float64 product with ops's (re, im) pairs: the complex product's bits."""
+    return (real @ ops.view(np.float64)).view(np.complex128)
+
+
+def ansatz_unitaries(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """(rows, 2**n, 2**n) unitaries of the ansatz, each row's ordered product of its
+    columns as ``column_operators`` returns them: complex RX, then real products."""
+    return functools.reduce(lambda u, ops: real_product(ops, u), ry.swapaxes(0, 1), rx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,17 +202,17 @@ def _generators(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def adjoint_operator_gradients(
-    spec: AnsatzSpec, columns: np.ndarray, joints: np.ndarray
+    spec: AnsatzSpec, rx: np.ndarray, ry: np.ndarray, joints: np.ndarray
 ) -> np.ndarray:
     """(G, param_count) gradients of sum_k Tr[O_k U_g rho_k U_g^dag] by the angles of
-    circuits g = 0 .. G-1, given their (G, depth + 2, 2**n, 2**n) column operators and
-    the (G, 2**n, 2**n) joints X_g = sum_{k of circuit g} rho_k U_g^dag O_k U_g."""
+    circuits g = 0 .. G-1, given their column operators as ``column_operators`` returns
+    them and the (G, 2**n, 2**n) joints X_g = sum_{k of circuit g} rho_k U_g^dag O_k U_g."""
     diagonal = np.arange(joints.shape[-1])
     grads = np.empty((len(joints), spec.depth + 2, spec.n_qubits))
     for column, (kind, _) in enumerate(_columns(spec)):
         # Tr[P_q J] = sum_r P_q[r, r'] J[r', r], J = V_l X V_l^dag
-        ops = columns[:, column]
-        joints = ops @ joints @ ops.conj().swapaxes(-1, -2)
+        op = ry[:, column - 1] if column else rx  # after RX, real: float64 products
+        joints = (real_product(op, joints) if column else op @ joints) @ op.conj().swapaxes(-1, -2)
         flips, phases = _generators(kind, spec.n_qubits)
         grads[:, column] = (phases * joints[:, flips, diagonal]).sum(-1).imag
     return grads.reshape(len(joints), -1)

@@ -176,7 +176,8 @@ class Engine:
     encoder row, with M = E^dag(U^dag E^dag(O) U), where U is the query, key or
     value circuit and E the channel on every qubit (the identity without noise
     or at p = 0).  Nothing here depends on the words, so one engine serves
-    every sentence of a pass.
+    every sentence of a pass.  It keeps the circuits' complex RX columns ``rx``
+    and real later ones ``ry``, which the backward's sweep reads too.
     """
 
     def __init__(self, params: QsalLayerParams, noise: NoiseChannel | None = None):
@@ -185,9 +186,9 @@ class Engine:
         self.noise = noise if noise is not None and noise.p > 0.0 else None
         self.enc_spec, self.qkv_spec = params.enc_spec, params.qkv_spec
         thetas = [params.theta_q.values, params.theta_k.values, params.theta_v.values]
-        # (3, D_qkv + 2, 2**n, 2**n) query, key, value column operators
-        self.columns = column_operators(self.qkv_spec, thetas)
-        unitaries = ansatz_unitaries(self.columns)
+        # query, key, value columns: (3, 2**n, 2**n) RX, (3, D_qkv + 1, 2**n, 2**n) real ones
+        self.rx, self.ry = column_operators(self.qkv_spec, thetas)
+        unitaries = ansatz_unitaries(self.rx, self.ry)
         self.observed = obs.under(self.noise)  # E^dag(O), shared by the geometry's engines
         self.circuits, observables = measured_quantities(obs.size)
         u = unitaries[self.circuits]  # each measured quantity's circuit

@@ -235,9 +235,10 @@ def _build_dataset(cfg: RunConfig) -> data.Dataset:
     return dataset
 
 
-def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Dataset]:
+def _start_training(args, cfg: RunConfig, suffix: str, points=("",)) -> tuple[Path, data.Dataset]:
     """(output directory, dataset) of a training command, its config written there once the
-    dataset has training samples and the parameter copies training holds fit the budget."""
+    dataset has training samples, the parameter copies training holds fit the budget and
+    every seed directory of every point (subdirectory) is made."""
     hint = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _resolve_out_dir(args, f"{hint}_{suffix}")
     dataset = _build_dataset(cfg)
@@ -252,7 +253,12 @@ def _start_training(args, cfg: RunConfig, suffix: str) -> tuple[Path, data.Datas
             f"embedding table{' and projections' if square else ''} need {need} bytes, over "
             f"the {budget}-byte budget"
         )
-    _make_out_dir(out_dir)
+    seed_dirs = [out_dir / point / f"seed_{seed}" for point in points for seed in cfg.seeds]
+    for part in (part for path in seed_dirs for part in (path.parent, path)):  # none made yet
+        if part.exists() and not part.is_dir():
+            raise ConfigurationError(f"cannot create output directory {part}: a file has its name")
+    for path in [out_dir] + seed_dirs:
+        _make_out_dir(path)
     _write_json(out_dir / "config.json", cfg.to_dict())
     return out_dir, dataset
 
@@ -284,9 +290,7 @@ def _run_experiment(cfg: RunConfig, dataset: data.Dataset, out_dirs: list[Path])
     per_seed = []
     any_aborted = False
     for seed in cfg.seeds:
-        seed_dirs = [out_dir / f"seed_{seed}" for out_dir in out_dirs]
-        for seed_dir in seed_dirs:
-            seed_dir.mkdir(parents=True, exist_ok=True)
+        seed_dirs = [out_dir / f"seed_{seed}" for out_dir in out_dirs]  # made by _start_training
         # zero arrays: train draws every parameter from the seed
         model = kind.init({**cfg.to_dict(), "dim": cfg.embed_dim}, dataset.vocabulary.size, None)
         started = time.perf_counter()
@@ -434,7 +438,8 @@ def cmd_noise_sweep(args) -> int:
         for kind in channels
         for p in p_values
     }
-    out_dir, dataset = _start_training(args, cfg, "noise_sweep")
+    point_names = tuple(f"{kind}_p{p:g}" for kind, p in point_configs)
+    out_dir, dataset = _start_training(args, cfg, "noise_sweep", point_names)
 
     points, runs = [], {}  # a noiseless level runs cfg once, into every channel's directory
     for (kind, p), point_cfg in point_configs.items():

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, model as model_mod
-from .ansatz import adjoint_operator_gradients, adjoint_row_gradients
+from .ansatz import adjoint_operator_gradients, adjoint_row_gradients, real_product
 from .attention import LayerTrace
 from .model import QsannModel, model_param_dict  # re-exported
 from .sim import NoiseChannel
@@ -100,9 +100,9 @@ def layer_backward(
     rhos = engine.channel(mixed)  # rho_k, the channel applied once
 
     # sum_s w_k[s] <enc_s|M_k|enc_s> = Tr[E^dag(O_k) U rho_k U^dag], U the quantity's circuit
-    products = rhos @ engine.heisenberg
+    products = real_product(rhos, engine.heisenberg)
     joints = np.stack([products[0], products[1], products[2:].sum(axis=0)])  # Q, K, the values
-    d_theta = adjoint_operator_gradients(engine.qkv_spec, engine.columns, joints)
+    d_theta = adjoint_operator_gradients(engine.qkv_spec, engine.rx, engine.ry, joints)
     return d_theta[0], d_theta[1], d_theta[2], d_u
 
 

@@ -83,6 +83,7 @@ class ModelConfig:
                 f"geometry needs {need} bytes for {operators} operators of 2**n x 2**n and "
                 f"{self.n_layers} Re(M) stacks, over the {ENGINE_MEMORY_BUDGET}-byte budget"
             )
+        ObservableSet.default(self.n_qubits, self.embed_dim)  # enough observables to measure
 
     @property
     def embed_dim(self) -> int:

@@ -387,25 +387,40 @@ def _superoperator(kind: str, p: float, adjoint: bool) -> np.ndarray:
     return sup
 
 
+@functools.lru_cache(maxsize=32)
+def _channel_plan(n_qubits: int, batch: int) -> tuple[np.ndarray, ...]:
+    """Read-only flat gathers of a (batch, 2**n, 2**n) stack into (pair a, batch, other pairs,
+    pair b) for qubits (a, b) = (0, 1), (2, 3), ..., each from the one before, then back."""
+    pairs = [[1 + q, 1 + n_qubits + q] for q in range(n_qubits)] + [[]]  # (row bit, column bit)
+    source = np.arange(batch * 4**n_qubits).reshape([batch] + [2] * (2 * n_qubits))
+    layouts = [pairs[a] + [0] + sum(pairs[:a] + pairs[a + 2 :], []) + pairs[a + 1]
+               for a in range(0, n_qubits, 2)]
+    flat = [source.transpose(layout).ravel() for layout in layouts] + [source.ravel()]
+    gathers = [flat[0]] + [np.argsort(before)[after] for before, after in zip(flat, flat[1:])]
+    for gather in gathers:
+        gather.flags.writeable = False
+    return tuple(gathers)
+
+
 def apply_channel_every_qubit(
     ops: np.ndarray, channel: NoiseChannel, n_qubits: int, adjoint: bool = False
 ) -> np.ndarray:
     """``channel`` on every qubit of a (batch, 2**n, 2**n) operator stack.
 
     With ``adjoint``, its Heisenberg-picture adjoint A -> sum_K K^dag A K.
-    The stack is held with each qubit's (row bit, column bit) pair adjacent;
-    qubit by qubit, 0 first, its pair is last, contracted by one ``np.dot``
-    of the (batch 4**(n-1), 4) rows with the channel's cached superoperator,
-    and a (batch, 4, X) -> (batch, X, 4) rotation brings the next pair last.
+    Qubits are contracted 0, 1, ..., n-1 with the channel's cached 4x4
+    superoperator S, two a stage, on a cached gather (``_channel_plan``):
+    ``np.dot(S.T, X.reshape(4, -1))`` contracts pair a, then
+    ``np.dot(Y.reshape(-1, 4), S)`` pair b.
     """
-    sup, n = _superoperator(channel.kind, channel.p, adjoint), n_qubits
-    bits = ops.shape[:1] + (2,) * 2 * n
-    pairs = [0] + [1 + (q + 1) % n + side * n for q in range(n) for side in (0, 1)]
-    t = ops.reshape(bits).transpose(pairs)  # pairs of qubits 1, ..., n-1, 0
-    for _ in range(n):
-        t = np.dot(t.reshape(-1, 4), sup).reshape(len(ops), 4, -1).swapaxes(1, 2)
-    rows_cols = [0] + [2 * ((q - 1) % n) + side for side in (1, 2) for q in range(n)]
-    return t.reshape(bits).transpose(rows_cols).reshape(ops.shape)
+    sup = _superoperator(channel.kind, channel.p, adjoint)
+    *stages, restore = _channel_plan(n_qubits, len(ops))
+    t = ops
+    for stage, gather in enumerate(stages):
+        t = np.dot(sup.T, t.reshape(-1)[gather].reshape(4, -1))
+        if 2 * stage + 1 < n_qubits:
+            t = np.dot(t.reshape(-1, 4), sup)
+    return t.reshape(-1)[restore].reshape(ops.shape)
 
 
 def expectation_dm_batch(

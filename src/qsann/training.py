@@ -235,6 +235,22 @@ def _as_samples(split) -> list[tuple[list[int], int]]:
     return out
 
 
+def _scores(splits, model, noise=None, shots=None, rng=None) -> list[tuple[float, float]]:
+    """(accuracy, mean loss) of each list of (ids, label) samples from one forward pass over
+    all: a sentence's prediction and norm depend on it alone, so each list's slice holds the
+    values, in the order, of a pass of its own."""
+    if not all(splits):
+        raise EmptySequenceError("cannot evaluate an empty dataset")
+    pairs = kind_of(model).forward([i for s in splits for i, _ in s], model, noise, shots, rng)
+    y_hat, norms = (np.concatenate(parts) for parts in zip(*pairs))
+    scores = []
+    for samples, end in zip(splits, np.cumsum([len(samples) for samples in splits])):
+        part = slice(end - len(samples), end)
+        hits, loss = model_mod.score([(y_hat[part], norms[part])], [y for _, y in samples], model)
+        scores.append((hits / len(samples), loss))
+    return scores
+
+
 def evaluate(
     split,
     model,
@@ -242,17 +258,9 @@ def evaluate(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """(accuracy, mean loss) of a model over labeled sequences.
-
-    ``shots`` and ``rng`` sample the quantum model's expectations.  The
-    predictions and norms come as arrays, a window at a time, and are scored whole.
-    """
-    samples = _as_samples(split)
-    if not samples:
-        raise EmptySequenceError("cannot evaluate an empty dataset")
-    pairs = kind_of(model).forward([ids for ids, _ in samples], model, noise, shots, rng)
-    hits, mean_loss = model_mod.score(pairs, [label for _, label in samples], model)
-    return hits / len(samples), mean_loss
+    """(accuracy, mean loss) of a model over labeled sequences; ``shots`` and
+    ``rng`` sample the quantum model's expectations."""
+    return _scores([_as_samples(split)], model, noise, shots, rng)[0]
 
 
 @dataclass
@@ -296,16 +304,17 @@ def train(
     model_mod.init_parameters(params, rng)
     adam = AdamState()
 
+    splits = [samples for samples in (train_samples, dev_samples, test_samples) if samples]
+
     def record(epoch: int) -> dict:
-        train_acc, train_loss = evaluate(train_samples, model, noise)
+        scores = iter(_scores(splits, model, noise))  # one forward pass over every split
+        train_acc, train_loss = next(scores)
         row = {"epoch": epoch, "train_loss": train_loss, "train_acc": train_acc}
         if dev_samples:
-            dev_acc, dev_loss = evaluate(dev_samples, model, noise)
-            row["dev_loss"] = dev_loss
+            dev_acc, row["dev_loss"] = next(scores)
             row["dev_acc"] = dev_acc
         if test_samples:
-            test_acc, _ = evaluate(test_samples, model, noise)
-            row["test_acc"] = test_acc
+            row["test_acc"] = next(scores)[0]
         return row
 
     stop_key = "dev_loss" if config.dev_early_stop and dev_samples else "train_loss"

@@ -1,11 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from qsann import ansatz
 from qsann.ansatz import (
     AnsatzSpec,
     ParamVector,
+    adjoint_operator_gradients,
     ansatz_unitaries,
     build_circuit,
     circuit_expectation,
@@ -13,6 +16,7 @@ from qsann.ansatz import (
     encode_batch,
     encode_input,
     param_shift_grad,
+    real_product,
     run_ansatz_batch,
 )
 from qsann.errors import ConfigurationError
@@ -23,7 +27,47 @@ from qsann.sim import (
     circuit_unitary,
     expectation,
     init_zero_state,
+    rotation_matrix,
 )
+
+# (n, depth) of the query/key/value circuits of the geometries (4,1,1), (4,4,5), (2,1,1),
+# (3,0,2) and (1,0,0) that the bit-equality checks run on
+QKV_SPECS = [(4, 1), (4, 5), (2, 1), (3, 2), (1, 0)]
+
+
+def complex_column_operators(spec, angles):
+    """The column operators as built before the real later columns: (..., depth + 2, 2**n,
+    2**n) complex Kronecker products of rotation matrices, the ring folded in by a product."""
+    n = spec.n_qubits
+    per_column = np.asarray(angles, dtype=np.float64).reshape(
+        np.shape(angles)[:-1] + (spec.depth + 2, n)
+    )
+    rotations = rotation_matrix("RY", per_column)  # (..., L, n, 2, 2)
+    rotations[..., 0, :, :, :] = rotation_matrix("RX", per_column[..., 0, :])
+    ops = rotations[..., 0, :, :]
+    for q in range(1, n):
+        ops = np.einsum("...ab,...cd->...acbd", ops, rotations[..., q, :, :])
+        ops = ops.reshape(ops.shape[:-4] + (2 ** (q + 1), 2 ** (q + 1)))
+    if spec.depth and n > 1:
+        ops[..., 2:, :, :] = ops[..., 2:, :, :] @ ansatz._cnot_ring(n)
+    return ops
+
+
+def complex_unitaries(columns):
+    """Each row's ordered product of its complex columns, as before."""
+    return functools.reduce(lambda unitaries, ops: ops @ unitaries, columns.swapaxes(0, 1))
+
+
+def complex_operator_gradients(spec, columns, joints):
+    """The adjoint sweep over complex columns, as before."""
+    diagonal = np.arange(joints.shape[-1])
+    grads = np.empty((len(joints), spec.depth + 2, spec.n_qubits))
+    for column, (kind, _) in enumerate(ansatz._columns(spec)):
+        ops = columns[:, column]
+        joints = ops @ joints @ ops.conj().swapaxes(-1, -2)
+        flips, phases = ansatz._generators(kind, spec.n_qubits)
+        grads[:, column] = (phases * joints[:, flips, diagonal]).sum(-1).imag
+    return grads.reshape(len(joints), -1)
 
 
 def random_pauli(rng, n):
@@ -241,7 +285,47 @@ class TestBatchedRunner:
         spec = AnsatzSpec(n, depth)
         # build_circuit wraps angles into [0, 2 pi), which flips a rotation's sign
         angles = rng.uniform(0, 2 * np.pi, (4, spec.param_count))
-        got = ansatz_unitaries(column_operators(spec, angles))
+        got = ansatz_unitaries(*column_operators(spec, angles))
         for row, unitary in zip(angles, got):
             want = circuit_unitary(build_circuit(spec, row), n)
             assert np.max(np.abs(unitary - want)) < 1e-12
+
+
+class TestRealColumns:
+    @pytest.mark.parametrize("n,depth", QKV_SPECS)
+    def test_columns_equal_the_complex_columns(self, rng, n, depth):
+        # values equal; an exactly-zero part of an entry may differ in sign, so angles of
+        # exactly 0 (sin 0 = 0) are compared by value too
+        spec = AnsatzSpec(n, depth)
+        angles = rng.normal(0.0, 2.0, (3, spec.param_count))
+        angles[1, ::2] = 0.0
+        rx, ry = column_operators(spec, angles)
+        want = complex_column_operators(spec, angles)
+        assert rx.dtype == np.complex128 and ry.dtype == np.float64
+        assert np.array_equal(rx, want[:, 0]) and np.array_equal(ry, want[:, 1:])
+        assert np.array_equal(ansatz_unitaries(rx, ry), complex_unitaries(want))
+
+    @pytest.mark.parametrize("n,depth", QKV_SPECS)
+    def test_unitaries_and_sweep_bit_equal_to_the_complex_ones(self, rng, n, depth):
+        spec = AnsatzSpec(n, depth)
+        angles = rng.normal(0.0, 2.0, (3, spec.param_count))
+        rx, ry = column_operators(spec, angles)
+        want = complex_column_operators(spec, angles)
+        assert ansatz_unitaries(rx, ry).tobytes() == complex_unitaries(want).tobytes()
+        dim = 2**n
+        joints = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        got = adjoint_operator_gradients(spec, rx, ry, joints)
+        assert got.tobytes() == complex_operator_gradients(spec, want, joints).tobytes()
+
+    def test_real_product_bit_equal_to_the_complex_product(self, rng):
+        for shape in [(2, 2), (16, 16), (3, 16, 16), (14, 16, 16), (5, 8, 8)]:
+            for _ in range(20):
+                real = rng.normal(size=shape)
+                ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                want = real.astype(np.complex128) @ ops
+                assert real_product(real, ops).tobytes() == want.tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        column_operators(AnsatzSpec(3, 1), np.zeros(9))
+        for table in ansatz._column_tables(3):
+            assert not table.flags.writeable

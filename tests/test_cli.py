@@ -310,6 +310,46 @@ def test_unreadable_config_is_a_usage_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def toy_command(command, toy_tsv, out, *extra):
+    argv = [command, "--preset", "toy", "--dataset", str(toy_tsv), "--epochs", "1", *extra]
+    return argv + (["--p-list", "0,0.1"] if command == "noise-sweep" else []) + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "noise-sweep"])
+def test_geometry_short_of_observables_refused_before_anything_is_written(
+    tmp_path, toy_tsv, capsys, command
+):
+    # one qubit at encoder depth 2 embeds 4 dimensions, and one qubit has 3 Pauli observables
+    out = tmp_path / "out"
+    geometry = ["--seeds", "0", "--set", "n_qubits=1", "--set", "enc_depth=2"]
+    code = main(toy_command(command, toy_tsv, out, *geometry))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot build 4 observables on 1 qubits" in err
+    assert not out.exists()
+    with pytest.raises(ConfigurationError):
+        RunConfig(str(toy_tsv), n_qubits=1, enc_depth=2)
+
+
+@pytest.mark.parametrize(
+    "command,blocker",
+    [("train", "seed_1"), ("noise-sweep", "depolarizing_p0.1"),
+     ("noise-sweep", "amplitude_damping_p0/seed_1")],
+)
+def test_file_in_place_of_a_seed_directory_refused_before_anything_is_written(
+    tmp_path, toy_tsv, capsys, command, blocker
+):
+    out = tmp_path / "out"
+    (out / blocker).parent.mkdir(parents=True)
+    (out / blocker).write_text("")
+    before = sorted(out.rglob("*"))
+    code = main(toy_command(command, toy_tsv, out, "--seeds", "0,1"))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot create output directory {out / blocker}: a file has its name" in err
+    assert sorted(out.rglob("*")) == before
+
+
 def test_embedding_table_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
     # the copies of a vocab x embed_dim float64 table that training holds at once;
     # checked once the dataset gives the vocabulary

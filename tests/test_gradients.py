@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, build_random_model, finite_difference, random_layer
-from qsann import ansatz, attention, model as model_mod
+from qsann import ansatz, attention, gradients, model as model_mod
 from qsann.ansatz import build_circuit, run_ansatz_batch
 from qsann.attention import (
     ObservableSet,
@@ -21,6 +21,8 @@ from qsann.gradients import (
     model_param_dict,
 )
 from qsann.sim import NoiseChannel, apply_channel_batch, circuit_unitary
+from test_ansatz import complex_column_operators, complex_operator_gradients, complex_unitaries
+from test_sim import transposed_channel_every_qubit
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +372,46 @@ class TestEngines:
         monkeypatch.setattr(attention.Engine, "__init__", counting_init)
         backward(([1, 2, 3], 1), build_random_model(rng, n_layers=n_layers), noise)
         assert len(built) == n_layers
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseChannel("depolarizing", 0.1), NoiseChannel("amplitude_damping", 0.2)],
+    ids=["pure", "depolarizing", "damping"],
+)
+@pytest.mark.parametrize(
+    "geometry,n_layers",
+    [((4, 1, 1), 1), ((4, 4, 5), 1), ((2, 1, 1), 2), ((3, 0, 2), 1), ((1, 0, 0), 1)],
+)
+def test_real_columns_and_gathered_channel_keep_every_bit(monkeypatch, geometry, n_layers, noise):
+    # Engine.measured and U^dag E^dag(O) U, backward gradients and forward_many outputs against
+    # the path they replaced: complex columns, products and sweep, the transposed channel
+    rng = np.random.default_rng(sum(geometry) + n_layers)
+    model = build_random_model(rng, *geometry, n_layers=n_layers, vocab_size=40)
+    samples = [(list(rng.integers(0, 40, length)), 1) for length in (1, 3, 12, 70)]
+
+    def run():
+        engines = [attention.Engine(layer, noise) for layer in model.layers]
+        out = [array.tobytes() for e in engines for array in (e.measured, e.heisenberg)]
+        for sample in samples:
+            out += [g.tobytes() for g in bundle_as_dict(backward(sample, model, noise)).values()]
+        passes = model_mod.forward_many([ids for ids, _ in samples], model, noise)
+        return out + [array.tobytes() for pair in passes for array in pair]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(attention, "apply_channel_every_qubit", transposed_channel_every_qubit)
+        patch.setattr(
+            attention, "column_operators", lambda spec, a: (complex_column_operators(spec, a), None)
+        )
+        patch.setattr(attention, "ansatz_unitaries", lambda columns, _: complex_unitaries(columns))
+        patch.setattr(gradients, "real_product", np.matmul)
+        patch.setattr(
+            gradients,
+            "adjoint_operator_gradients",
+            lambda spec, columns, _, joints: complex_operator_gradients(spec, columns, joints),
+        )
+        want = run()
+    assert run() == want
 
 
 class TestOperatorMemory:

@@ -24,6 +24,20 @@ from qsann.sim import (
     init_zero_state,
     pauli_matrix,
 )
+from qsann.sim import _channel_plan, _superoperator
+
+
+def transposed_channel_every_qubit(ops, channel, n, adjoint=False):
+    """The every-qubit channel as it was kernelled before the cached gathers: each qubit's
+    (row bit, column bit) pair brought last by transposes, contracted 0, 1, ..., n-1."""
+    sup = _superoperator(channel.kind, channel.p, adjoint)
+    bits = ops.shape[:1] + (2,) * 2 * n
+    pairs = [0] + [1 + (q + 1) % n + side * n for q in range(n) for side in (0, 1)]
+    t = ops.reshape(bits).transpose(pairs)  # pairs of qubits 1, ..., n-1, 0
+    for _ in range(n):
+        t = np.dot(t.reshape(-1, 4), sup).reshape(len(ops), 4, -1).swapaxes(1, 2)
+    rows_cols = [0] + [2 * ((q - 1) % n) + side for side in (1, 2) for q in range(n)]
+    return t.reshape(bits).transpose(rows_cols).reshape(ops.shape)
 
 
 def random_circuit(rng, n_qubits, n_gates):
@@ -326,6 +340,30 @@ class TestNoiseChannels:
                 t = np.tensordot(want.reshape(3, lo, 2, hi, lo, 2, hi), sup, ([2, 5], [2, 3]))
                 want = np.moveaxis(t, (5, 6), (2, 5)).reshape(3, dim, dim)
             assert np.array_equal(apply_channel_every_qubit(ops, channel, n, adjoint), want)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind,p", [("depolarizing", 0.1), ("amplitude_damping", 0.2)])
+    def test_gathered_kernel_bit_equal_to_the_transposed_one(self, rng, kind, p, adjoint):
+        # the cached gathers and two-sided dots against the transpose kernel they replaced,
+        # real and complex stacks, contiguous or not, n = 1-6, three batch sizes
+        channel = NoiseChannel(kind, p)
+        for n in range(1, 7):
+            for batch in (1, 3, 14):
+                real = rng.normal(size=(batch, 2**n, 2**n))
+                for ops in (real, real + 1j * rng.normal(size=real.shape), real.swapaxes(1, 2)):
+                    got = apply_channel_every_qubit(ops, channel, n, adjoint)
+                    want = transposed_channel_every_qubit(ops, channel, n, adjoint)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_gather_plans_are_read_only(self):
+        channel = NoiseChannel("depolarizing", 0.1)
+        apply_channel_every_qubit(np.eye(8)[None], channel, 3)
+        plan = _channel_plan(3, 1)
+        assert len(plan) == 3  # pairs (0, 1) and (2,), then rows and columns restored
+        for gather in plan:
+            assert not gather.flags.writeable
+            assert np.array_equal(np.sort(gather), np.arange(64))
 
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])

@@ -424,3 +424,60 @@ def test_batch_gradient_is_the_mean_of_its_samples_in_order(monkeypatch):
         assert grads.keys() == batch[0].keys()
         for key, grad in grads.items():  # the plain sum(...) / len(...) mean, to the bit
             assert grad.tobytes() == (sum(g[key] for g in batch) / len(batch)).tobytes()
+
+
+def per_split_scores(splits, model, noise=None, shots=None, rng=None):
+    """The metrics record as it was before one pass served every split: a pass per split."""
+    scores = []
+    for samples in splits:
+        ids = [ids for ids, _ in samples]
+        pairs = training.kind_of(model).forward(ids, model, noise, shots, rng)
+        hits, mean_loss = model_mod.score(pairs, [label for _, label in samples], model)
+        scores.append((hits / len(samples), mean_loss))
+    return scores
+
+
+@pytest.mark.parametrize("dev_early_stop", [False, True])
+@pytest.mark.parametrize(
+    "kind,noise",
+    [("qsann", None), ("qsann", NoiseChannel("depolarizing", 0.1)), ("csann", None),
+     ("naive", None)],
+    ids=["qsann-pure", "qsann-depolarizing", "csann", "naive"],
+)
+def test_one_pass_record_equals_the_per_split_record(monkeypatch, kind, noise, dev_early_stop):
+    # train, dev and test scored from one forward pass give the metrics, the stop and the
+    # parameters of a pass per split, to the bit; a loose tolerance makes some runs stop early
+    ds = toy_dataset(n_samples=30, ratios=(0.6, 0.2, 0.2))
+    settings = {"n_qubits": 2, "enc_depth": 1, "qkv_depth": 1, "n_layers": 2,
+                "lam": 0.1, "gamma": 0.2, "dim": 6}
+    config = TrainConfig(learning_rate=0.05, epochs=5, lam=0.1, gamma=0.2, seed=3,
+                         stop_window=2, stop_tol=0.3, dev_early_stop=dev_early_stop)
+    runs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(training, "_scores", per_split_scores)
+        model = MODEL_KINDS[kind].init(settings, ds.vocabulary.size, None)
+        result = train(ds, model, config, noise)
+        params = [p.tobytes() for p in MODEL_KINDS[kind].params(model).values()]
+        runs.append((json.dumps(result.metrics), result.stopped_epoch, params))
+    assert runs[0] == runs[1]
+    assert "dev_loss" in runs[0][0]
+
+
+def test_one_forward_pass_per_metrics_record(monkeypatch):
+    passes = []
+    original = model_mod.forward_many
+
+    def counted(sequences, *args):
+        passes.append(len(sequences))
+        return original(sequences, *args)
+
+    monkeypatch.setattr(model_mod, "forward_many", counted)
+    monkeypatch.setattr(training, "evaluate", None)  # train scores without it
+    ds = toy_dataset(n_samples=30, ratios=(0.6, 0.2, 0.2))
+    model = model_mod.init_model(
+        model_mod.ModelConfig(2, 1, 1, 1), ds.vocabulary.size, np.random.default_rng(0)
+    )
+    result = train(ds, model, TrainConfig(learning_rate=0.01, epochs=2, seed=0))
+    assert len(result.metrics) == 3
+    assert passes == [len(ds.train) + len(ds.dev) + len(ds.test)] * 3
