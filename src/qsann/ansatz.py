@@ -10,7 +10,9 @@ a Hadamard layer.
 A column's rotations commute, so each column is one 2**n x 2**n operator,
 the Kronecker product of its rotations (columns reordered by a preceding
 ring), complex for RX and real for RY; a circuit's unitary is their product.  The
-gate-by-gate kernels serve only ``circuit_expectation`` and ``param_shift_grad``.
+ring is one cached permutation table, which reorders those columns and the
+encoder's rows; the gate-by-gate kernels serve only ``circuit_expectation`` and
+``param_shift_grad``.
 The encoder runs in closed form on real rows: RX(a)|+> = exp(-i a/2)|+> and
 the later columns are real, so ``encode_batch`` drops that global phase
 (``encode_input`` keeps it) and the encoder's RX angles have no gradient.
@@ -135,23 +137,17 @@ def run_ansatz_batch(amps: np.ndarray, spec: AnsatzSpec, angles) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _cnot_ring(n_qubits: int) -> np.ndarray:
-    """Real permutation matrix of the CNOT ring (read-only, cached per qubit count)."""
-    basis = np.eye(2**n_qubits)
-    for q in range(n_qubits):
-        basis = apply_cnot_batch(basis, q, (q + 1) % n_qubits, n_qubits)
-    ring = basis.T  # row j is Ring|j>, the j-th column of Ring
-    ring.setflags(write=False)
-    return ring
-
-
-@functools.lru_cache(maxsize=None)
-def _column_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (ring order, RX phases): (A @ Ring)[:, j] = A[:, order[j]], and the phase
-    (-i)**k of each RX column entry, k the qubits whose row and column bits differ."""
+def _column_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (order, inverse, RX phases).  order is the CNOT ring's permutation sigma,
+    Ring|j> = |sigma(j)>, by bit arithmetic (qubit 0 the top bit; the identity for one qubit,
+    which has no ring): (A @ Ring)[:, j] = A[:, order[j]] and (Ring psi)[i] = psi[inverse[i]].
+    The phase (-i)**k of each RX column entry, k the qubits whose row and column bits differ."""
     rows = np.arange(2**n_qubits)
+    order = rows.copy()
+    for q in range(n_qubits if n_qubits > 1 else 0):  # CNOT q -> (q + 1) mod n, in turn
+        order ^= ((order >> (n_qubits - 1 - q)) & 1) << (n_qubits - 1 - (q + 1) % n_qubits)
     flips = sum(((rows[:, None] ^ rows) >> q) & 1 for q in range(n_qubits))
-    tables = _cnot_ring(n_qubits).argmax(axis=0), np.array([1, -1j, -1, 1j])[flips % 4]
+    tables = order, order.argsort(), np.array([1, -1j, -1, 1j])[flips % 4]
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -172,9 +168,9 @@ def column_operators(spec: AnsatzSpec, angles) -> tuple[np.ndarray, np.ndarray]:
     for q in range(1, n):
         ops = np.einsum("...ab,...cd->...acbd", ops, factors[..., q, :, :])
         ops = ops.reshape(ops.shape[:-4] + (2 ** (q + 1), 2 ** (q + 1)))
-    if spec.depth and n > 1:
-        ops[..., 2:, :, :] = ops[..., 2:, :, _column_tables(n)[0]]
-    return ops[..., 0, :, :] * _column_tables(n)[1], ops[..., 1:, :, :]
+    order, _, phases = _column_tables(n)
+    ops[..., 2:, :, :] = ops[..., 2:, :, order]
+    return ops[..., 0, :, :] * phases, ops[..., 1:, :, :]
 
 
 def real_product(real: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -240,16 +236,15 @@ def adjoint_row_gradients(
     the global phase, so its gradients are zero and the sweep ends at the second column."""
     n, rows = spec.n_qubits, states.shape[0]
     flips, phases = _generators("RY", n)
-    signs = phases.imag
+    signs, order = phases.imag, _column_tables(n)[0]
     pair = np.concatenate([states, duals])  # undo both with one kernel call
     undo = -0.5 * np.tile(angles, (2, 1)).reshape(2 * rows, spec.depth + 2, n)
     grads = np.zeros((rows, spec.depth + 2, n))
     for column in range(spec.depth + 1, 0, -1):
         grads[:, column] = (pair[rows:, None] * signs * pair[:rows, flips]).sum(-1)
         if column > 1:
-            pair = _ry_column(pair, undo[:, column])
-            if n > 1:
-                pair = pair @ _cnot_ring(n)
+            # a C-ordered gather: pair[:, order] is F-ordered and would change the sum's order
+            pair = _ry_column(pair, undo[:, column]).take(order, axis=1)
     return grads.reshape(rows, -1)
 
 
@@ -265,10 +260,9 @@ def encode_batch(inputs: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     amps = qubits[:, 0]
     for q in range(1, n):
         amps = (amps[:, :, None] * qubits[:, q, None, :]).reshape(rows, -1)
+    inverse = _column_tables(n)[1]
     for column in range(2, spec.depth + 2):
-        if n > 1:
-            amps = amps @ _cnot_ring(n).T
-        amps = _ry_column(amps, half[:, column])
+        amps = _ry_column(amps.take(inverse, axis=1), half[:, column])
     return amps
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, data, model as model_mod, training
-from .errors import ConfigurationError, ParseError, QsannError
+from .errors import ConfigurationError, ParseError, QsannError, check_field_types
 from .sim import NoiseChannel
 
 SCHEMA_VERSION = 1
@@ -62,10 +62,7 @@ class RunConfig:
     noise_p: float | None = None
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, f.type):
-                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self, json_only=True)  # config.json must hold every value
         if self.model not in MODEL_KINDS:
             raise ConfigurationError(f"model must be one of {MODEL_KINDS}")
         if not self.dataset_path:
@@ -128,22 +125,6 @@ class RunConfig:
         if "dataset_path" not in values:
             raise ConfigurationError("dataset_path is required")
         return cls(**values)
-
-
-_SCALAR_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether a config value fits a field annotation such as ``list[int] | None``."""
-    if annotation.endswith(" | None"):
-        return value is None or _has_type(value, annotation[: -len(" | None")])
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(
-            _has_type(item, annotation[5:-1]) for item in value
-        )
-    if isinstance(value, bool) and annotation != "bool":
-        return False
-    return isinstance(value, _SCALAR_TYPES[annotation])
 
 
 def load_preset(name: str) -> dict:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the configs' field-type check."""
+
+import dataclasses
+import numbers
 
 
 class QsannError(Exception):
@@ -19,3 +22,29 @@ class ParseError(QsannError, ValueError):
 
 class TrainingAborted(QsannError, RuntimeError):
     """Training stopped because of a non-finite loss or gradient."""
+
+
+_SCALAR_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
+def _fits(value, annotation: str, json_only: bool) -> bool:
+    if annotation.endswith(" | None"):
+        return value is None or _fits(value, annotation[: -len(" | None")], json_only)
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, annotation[5:-1], json_only) for v in value)
+    if isinstance(value, bool) != (annotation == "bool"):
+        return False
+    if json_only and not isinstance(value, (str, int, float)):  # e.g. numpy's int64
+        return False
+    return isinstance(value, _SCALAR_TYPES[annotation])
+
+
+def check_field_types(config, json_only: bool = False) -> None:
+    """Refuse a dataclass config whose field values do not fit their annotations, such as
+    ``list[int] | None``: an int field takes any Integral and a float field any Real, numpy
+    scalars included, and neither takes a bool.  ``json_only`` refuses what json cannot
+    write, numpy scalars other than float64."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _fits(value, f.type, json_only):
+            raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")

@@ -36,7 +36,7 @@ from .attention import (
     layer_forward,
 )
 from .data import EmbeddingTable
-from .errors import ConfigurationError, EmptySequenceError
+from .errors import ConfigurationError, EmptySequenceError, check_field_types
 from .sim import NoiseChannel
 
 # Memory the attention engine's operator stacks may take (see ModelConfig).
@@ -67,6 +67,7 @@ class ModelConfig:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_qubits < 1 or self.enc_depth < 0 or self.qkv_depth < 0:
             raise ConfigurationError("invalid circuit geometry")
         if self.n_layers < 1:
@@ -177,13 +178,13 @@ def layer_traces(
 
 def predict(model, pooled: np.ndarray, attention=()) -> Prediction:
     """The sigmoid head's prediction from one sentence's mean-pooled last-layer output."""
-    y_hat = float(sigmoid(float(model.head_w @ pooled + model.head_b[0])))
+    y_hat = float(sigmoid(head_logits(model, pooled[None])[0]))
     return Prediction(y_hat=y_hat, label=int(y_hat >= 0.5), attention=attention)
 
 
 def head_logits(model, pooled: np.ndarray) -> np.ndarray:
-    """The head's logits of (B, d) pooled rows, each rounded as predict's head_w @ pooled:
-    the stacked product is one dot per row, where a 2-D gemv would block rows together."""
+    """The head's logits of (B, d) pooled rows, each row's own dot head_w @ pooled: the
+    stacked product is one dot per row, where a 2-D gemv would block rows together."""
     return (pooled[:, None, :] @ model.head_w)[:, 0] + model.head_b[0]
 
 

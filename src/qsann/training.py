@@ -21,7 +21,7 @@ import numpy as np
 from . import baselines, gradients, model as model_mod
 from .baselines import CsannParams, NaiveParams
 from .data import LabeledSequence
-from .errors import ConfigurationError, EmptySequenceError, TrainingAborted
+from .errors import ConfigurationError, EmptySequenceError, TrainingAborted, check_field_types
 from .model import QsannModel
 from .sim import NoiseChannel
 
@@ -40,6 +40,7 @@ class TrainConfig:
     dev_early_stop: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         # chained comparisons so that NaN fails every check
         if not 0 < self.learning_rate < np.inf:
             raise ConfigurationError("learning_rate must be positive and finite")
@@ -51,6 +52,8 @@ class TrainConfig:
             raise ConfigurationError("regularization coefficients must be finite and >= 0")
         if self.stop_window < 1 or not 0 <= self.stop_tol < np.inf:
             raise ConfigurationError("invalid stopping condition")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 @dataclass

@@ -24,6 +24,7 @@ from qsann.sim import (
     Gate,
     PauliString,
     apply_circuit,
+    apply_cnot_batch,
     circuit_unitary,
     expectation,
     init_zero_state,
@@ -33,6 +34,15 @@ from qsann.sim import (
 # (n, depth) of the query/key/value circuits of the geometries (4,1,1), (4,4,5), (2,1,1),
 # (3,0,2) and (1,0,0) that the bit-equality checks run on
 QKV_SPECS = [(4, 1), (4, 5), (2, 1), (3, 2), (1, 0)]
+
+
+def ring_matrix(n):
+    """The CNOT ring's real 2**n x 2**n permutation matrix, by the gate-by-gate kernel: row j
+    of the result of running the ring over the identity is Ring|j>, the j-th column of Ring."""
+    basis = np.eye(2**n)
+    for q in range(n):
+        basis = apply_cnot_batch(basis, q, (q + 1) % n, n)
+    return basis.T
 
 
 def complex_column_operators(spec, angles):
@@ -49,7 +59,7 @@ def complex_column_operators(spec, angles):
         ops = np.einsum("...ab,...cd->...acbd", ops, rotations[..., q, :, :])
         ops = ops.reshape(ops.shape[:-4] + (2 ** (q + 1), 2 ** (q + 1)))
     if spec.depth and n > 1:
-        ops[..., 2:, :, :] = ops[..., 2:, :, :] @ ansatz._cnot_ring(n)
+        ops[..., 2:, :, :] = ops[..., 2:, :, :] @ ring_matrix(n)
     return ops
 
 
@@ -329,3 +339,55 @@ class TestRealColumns:
         column_operators(AnsatzSpec(3, 1), np.zeros(9))
         for table in ansatz._column_tables(3):
             assert not table.flags.writeable
+
+
+def matmul_encode(inputs, spec):
+    """encode_batch with the ring as a permutation matrix product: the gathers' reference."""
+    rows, n = inputs.shape[0], spec.n_qubits
+    half = 0.5 * inputs.reshape(rows, spec.depth + 2, n)
+    cos, sin = np.cos(half[:, 1]), np.sin(half[:, 1])
+    qubits = np.stack([cos - sin, sin + cos], axis=-1) / np.sqrt(2.0)
+    amps = qubits[:, 0]
+    for q in range(1, n):
+        amps = (amps[:, :, None] * qubits[:, q, None, :]).reshape(rows, -1)
+    for column in range(2, spec.depth + 2):
+        amps = ansatz._ry_column(amps @ ring_matrix(n).T, half[:, column])
+    return amps
+
+
+def matmul_row_gradients(spec, angles, states, duals):
+    """adjoint_row_gradients with the ring as a permutation matrix product: the reference."""
+    n, rows = spec.n_qubits, states.shape[0]
+    flips, phases = ansatz._generators("RY", n)
+    pair = np.concatenate([states, duals])
+    undo = -0.5 * np.tile(angles, (2, 1)).reshape(2 * rows, spec.depth + 2, n)
+    grads = np.zeros((rows, spec.depth + 2, n))
+    for column in range(spec.depth + 1, 0, -1):
+        grads[:, column] = (pair[rows:, None] * phases.imag * pair[:rows, flips]).sum(-1)
+        if column > 1:
+            pair = ansatz._ry_column(pair, undo[:, column]) @ ring_matrix(n)
+    return grads.reshape(rows, -1)
+
+
+class TestRingTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_a_read_only_permutation(self, n):
+        order, inverse, _ = ansatz._column_tables(n)
+        assert sorted(order) == list(range(2**n))
+        assert (order[inverse] == np.arange(2**n)).all()
+        assert not order.flags.writeable and not inverse.flags.writeable
+        if n == 1:  # no ring on one qubit
+            assert order.tolist() == [0, 1]
+        else:
+            assert (order == ring_matrix(n).argmax(axis=0)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("depth", range(5))
+    def test_encoder_and_sweep_bit_equal_to_the_matrix_products(self, rng, n, depth):
+        spec = AnsatzSpec(n, depth)
+        inputs = rng.uniform(-4, 4, (64, spec.param_count))
+        states = encode_batch(inputs, spec)
+        assert states.tobytes() == matmul_encode(inputs, spec).tobytes()
+        duals = rng.normal(size=states.shape)
+        got = ansatz.adjoint_row_gradients(spec, inputs, states, duals)
+        assert got.tobytes() == matmul_row_gradients(spec, inputs, states, duals).tobytes()

@@ -216,6 +216,18 @@ class TestRunConfig:
             values["dataset_path"] = "d.tsv"
             RunConfig.from_dict(values)
 
+    @pytest.mark.parametrize("fields", [
+        {"n_qubits": 2.0}, {"n_qubits": True}, {"n_qubits": np.int64(2)}, {"lam": np.float32(0.1)},
+        {"seeds": [0, 1.5]}, {"learning_rate": "x"},
+    ], ids=str)
+    def test_fields_config_json_cannot_hold_refused(self, fields):
+        # numpy scalars but float64 are refused too: config.json must hold every value
+        with pytest.raises(ConfigurationError):
+            RunConfig(dataset_path="d.tsv", **fields)
+
+    def test_float64_accepted(self):
+        assert RunConfig(dataset_path="d.tsv", lam=np.float64(0.1)).lam == 0.1
+
     def test_p_zero_noise_short_circuits(self):
         cfg = RunConfig(dataset_path="d.tsv", noise_kind="depolarizing", noise_p=0.0)
         assert cfg.noise_channel() is None

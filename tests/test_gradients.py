@@ -21,7 +21,12 @@ from qsann.gradients import (
     model_param_dict,
 )
 from qsann.sim import NoiseChannel, apply_channel_batch, circuit_unitary
-from test_ansatz import complex_column_operators, complex_operator_gradients, complex_unitaries
+from test_ansatz import (
+    complex_column_operators,
+    complex_operator_gradients,
+    complex_unitaries,
+    ring_matrix,
+)
 from test_sim import transposed_channel_every_qubit
 
 
@@ -161,7 +166,7 @@ def complex_encode(inputs, spec):
         amps = (amps[:, :, None] * qubits[:, q, None, :]).reshape(rows, -1)
     for column in range(2, spec.depth + 2):
         if n > 1:
-            amps = amps @ ansatz._cnot_ring(n).T
+            amps = amps @ ring_matrix(n).T
         amps = ansatz._ry_column(amps, half[:, column])
     return amps
 
@@ -182,7 +187,7 @@ def complex_row_gradients(spec, angles, states, duals):
         if column:
             pair = ansatz._ry_column(pair, undo[:, column])
             if ring:
-                pair = pair @ ansatz._cnot_ring(n)
+                pair = pair @ ring_matrix(n)
     return grads.reshape(rows, -1)
 
 

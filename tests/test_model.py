@@ -26,6 +26,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(2, 1, 1, 0)
 
+    @pytest.mark.parametrize("fields", [
+        (2, 1, 1, 1.5), (2.5, 1, 1, 1), (2, True, 1, 1), (2, 1, 1, 1, "x"),
+    ], ids=str)
+    def test_mistyped_fields_refused(self, fields):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(*fields)
+
+    def test_numpy_scalars_accepted(self):
+        config = ModelConfig(np.int64(2), np.int64(1), np.int32(1), np.int64(1), np.float64(0.1))
+        assert config.embed_dim == 6
+
     @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
     @pytest.mark.parametrize("lam,gamma", [
         (-0.1, 0.0), (0.0, -0.1), (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf),
@@ -79,8 +90,8 @@ class TestForward:
         assert [float(model_mod.sigmoid(v)) for v in z] == y.tolist()
 
     def test_head_logits_are_each_rows_own_dot(self, rng):
-        # a pass scores a window's sentences together and predict each alone, with the
-        # same bits: a row's logit must not depend on the rows scored with it
+        # a pass scores a window's sentences together and predict each alone, both by
+        # head_logits: a row's logit must not depend on the rows scored with it
         for d in range(1, 41):
             model = baselines.init_naive(3, d, None)
             model.head_w[...] = rng.normal(0.0, 1.0, d)
@@ -556,8 +567,8 @@ class TestParameterCount:
 class TestModelValidation:
     @pytest.mark.parametrize("lam,gamma", [("x", 0.0), (0.0, None), ([0.1], 0.0)])
     def test_non_number_penalties_refused(self, rng, lam, gamma):
-        with pytest.raises(ConfigurationError, match="regularization"):
-            init_model(ModelConfig(2, 1, 1, 1, lam=lam, gamma=gamma), 5, rng)
+        with pytest.raises(ConfigurationError, match="(lam|gamma) must be float"):
+            ModelConfig(2, 1, 1, 1, lam=lam, gamma=gamma)  # its field check, before any model
         with pytest.raises(ConfigurationError, match="regularization"):
             baselines.init_csann(4, 3, rng, lam=lam, gamma=gamma)
         with pytest.raises(ConfigurationError, match="regularization"):

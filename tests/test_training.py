@@ -56,6 +56,18 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=0)
 
+    @pytest.mark.parametrize("fields", [
+        {"epochs": 1.5}, {"batch_size": 1.5}, {"stop_window": 2.5}, {"seed": -1},
+        {"lam": "x"}, {"learning_rate": "x"}, {"epochs": True}, {"shuffle": 1},
+    ], ids=str)
+    def test_mistyped_or_negative_fields_refused(self, fields):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**{"learning_rate": 0.1, "epochs": 1, **fields})
+
+    def test_numpy_scalars_accepted(self):
+        config = TrainConfig(np.float64(0.1), np.int64(2), batch_size=np.int32(3), seed=np.int64(4))
+        assert (config.epochs, config.batch_size, config.seed) == (2, 3, 4)
+
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
@@ -351,25 +363,35 @@ def test_training_start_depends_only_on_the_config_seed(kind):
     "noise", [None, NoiseChannel("depolarizing", 0.1)], ids=["pure", "depolarizing"]
 )
 def test_training_path_runs_no_gate_by_gate_kernel(monkeypatch, noise):
-    # the encoder and every sweep work on column operators or in closed form; the
-    # gate-by-gate kernels serve only circuit_expectation, param_shift_grad and tests
+    # the encoder and every sweep work on column operators, cached gather tables or in
+    # closed form; the gate-by-gate and density kernels serve only circuit_expectation,
+    # param_shift_grad and tests.  The caches start cold, so building a table runs here too.
     def refuse(*args, **kwargs):
         raise AssertionError("gate-by-gate kernel on the training path")
 
-    kernels = (ansatz.run_ansatz_batch, sim.apply_rotation_batch, sim.apply_hadamard_layer_batch)
+    kernels = (
+        ansatz.run_ansatz_batch, sim.apply_rotation_batch, sim.apply_hadamard_layer_batch,
+        sim.apply_gate_batch, sim.apply_cnot_batch, sim.expectation_batch,
+        sim.apply_gate_dm_batch, sim.apply_rotation_dm_batch, sim.apply_channel_batch,
+        sim.expectation_dm_batch,
+    )
     for name, module in list(sys.modules.items()):
         if name == "qsann" or name.startswith("qsann."):
             for attr, value in list(vars(module).items()):
                 if any(value is kernel for kernel in kernels):
                     monkeypatch.setattr(module, attr, refuse)
+    for value in vars(ansatz).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
     ds = toy_dataset(n_samples=20)
     model = model_mod.init_model(
         model_mod.ModelConfig(2, 1, 1, 1), ds.vocabulary.size, np.random.default_rng(0)
     )
     result = train(ds, model, TrainConfig(learning_rate=0.01, epochs=1, seed=0), noise)
     assert len(result.metrics) == 2
-    accuracy, loss = evaluate(ds.test, model, noise)
-    assert 0.0 <= accuracy <= 1.0 and np.isfinite(loss)
+    for shots, rng in ((None, None), (8, np.random.default_rng(1))):
+        accuracy, loss = evaluate(ds.test, model, noise, shots, rng)
+        assert 0.0 <= accuracy <= 1.0 and np.isfinite(loss)
 
 
 @pytest.mark.parametrize("batch_size", [1, 3])

@@ -3,7 +3,7 @@
     PYTHONPATH=src python tools/golden_set.py <out_dir>
 
 The set, on two toy corpora that this script writes (30 sentences of 3-4 words,
-and 60 of 1-9 words with a dev split):
+and 60 of 1-9 words with a dev split), runs:
 - qsann pure, with depolarizing noise 0.1 and with amplitude damping 0.2 (one
   layer on the first corpus, two on the second), csann and naive, each with
   lambda 0.1 and gamma 0.2, seeds 0 and 1 for 3 epochs;
@@ -11,7 +11,11 @@ and 60 of 1-9 words with a dev split):
 - ``qsann eval`` of every checkpoint on each of its splits, and with
   ``--shots 64`` on train and test for the quantum checkpoints;
 - attention CSVs of three test and two train sentences of every quantum checkpoint;
-- a ``--p-list 0,0.1`` noise sweep on each corpus.
+- a ``--p-list 0,0.1`` noise sweep on each corpus;
+- at n = 4, where the toy geometry (n = 2, depth 1) cannot see the CNOT ring or a deep
+  encoder: the ``yelp``, ``amazon`` and ``rp`` presets with two layers, seed 0 for 2
+  epochs, pure, with depolarizing noise 0.1 and with amplitude damping 0.2, on a third
+  corpus of 40 sentences of 1-14 words, with the same evals and attention CSVs.
 
 Every command runs in ``<out_dir>`` (which must be new or empty) with relative
 paths, and its exit code and standard output are kept as ``<name>.stdout``.
@@ -49,6 +53,10 @@ RUNS = {
     "qsann_depolarizing_batch3": (DEPOLARIZING + ["--set", "batch_size=3"], True),
     "csann_batch3": (["--set", "model=csann", "--set", "batch_size=3"], False),
 }
+# presets run at n = 4 on the third corpus, and their noise settings
+PRESETS = ("yelp", "amazon", "rp")
+PRESET_RUNS = {"pure": [], "depolarizing": DEPOLARIZING, "damping": DAMPING}
+PRESET_CORPUS = (40, 1, 14, 3)
 # corpus -> (sentences, shortest, longest, shared words, train arguments, splits)
 CORPORA = {
     "short": (30, 3, 4, 0, [], ("train", "test")),
@@ -80,6 +88,23 @@ def run(name: str, argv: list[str]) -> None:
     Path(f"{name}.stdout").write_text(f"exit {code}\n{out.getvalue()}", encoding="utf-8")
 
 
+def report(seed_dir: str, splits, quantum: bool) -> None:
+    """Evals of a checkpoint on each split; for a quantum one also shot evals and CSVs."""
+    checkpoint = ["--checkpoint", f"{seed_dir}/checkpoint.json"]
+    for split in splits:
+        out = f"{seed_dir}/eval_{split}"
+        run(out, ["eval", *checkpoint, "--split", split, "--out", f"{out}.json"])
+    if not quantum:
+        return
+    for split in ("train", "test"):
+        out = f"{seed_dir}/eval_{split}_shots"
+        shots = ["--shots", "64", "--shot-seed", "3"]
+        run(out, ["eval", *checkpoint, "--split", split, *shots, "--out", f"{out}.json"])
+    for split, indices in (("test", "0,1,2"), ("train", "0,1")):
+        out = f"{seed_dir}/attention_{split}"
+        run(out, ["attention", *checkpoint, "--split", split, "--indices", indices, "--out", out])
+
+
 def golden_set() -> None:
     for index, (corpus, (count, shortest, longest, shared, extra, splits)) in enumerate(
         CORPORA.items()
@@ -91,24 +116,17 @@ def golden_set() -> None:
             out = f"{corpus}_{run_name}"
             run(out, ["train", *common, *PENALTIES, *extra, *settings, "--out", out])
             for seed in SEEDS.split(","):
-                seed_dir = f"{out}/seed_{seed}"
-                checkpoint = ["--checkpoint", f"{seed_dir}/checkpoint.json"]
-                for split in splits:
-                    report = f"{seed_dir}/eval_{split}"
-                    run(report, ["eval", *checkpoint, "--split", split, "--out", f"{report}.json"])
-                if not quantum:
-                    continue
-                for split in ("train", "test"):
-                    report = f"{seed_dir}/eval_{split}_shots"
-                    shots = ["--shots", "64", "--shot-seed", "3"]
-                    run(report, ["eval", *checkpoint, "--split", split, *shots,
-                                 "--out", f"{report}.json"])
-                for split, indices in (("test", "0,1,2"), ("train", "0,1")):
-                    csvs = f"{seed_dir}/attention_{split}"
-                    run(csvs, ["attention", *checkpoint, "--split", split, "--indices", indices,
-                               "--out", csvs])
+                report(f"{out}/seed_{seed}", splits, quantum)
         sweep = f"{corpus}_sweep"
         run(sweep, ["noise-sweep", *common, *extra, "--p-list", "0,0.1", "--out", sweep])
+    write_corpus(Path("presets.tsv"), 21 + len(CORPORA), *PRESET_CORPUS)
+    for preset in PRESETS:
+        common = ["--preset", preset, "--dataset", "presets.tsv", "--seeds", "0", "--epochs", "2",
+                  "--set", "n_layers=2"]
+        for run_name, settings in PRESET_RUNS.items():
+            out = f"{preset}_{run_name}"
+            run(out, ["train", *common, *settings, "--out", out])
+            report(f"{out}/seed_0", ("train", "test"), True)
 
 
 def main(argv: list[str]) -> int:
