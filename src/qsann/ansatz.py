@@ -143,11 +143,12 @@ def _column_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     which has no ring): (A @ Ring)[:, j] = A[:, order[j]] and (Ring psi)[i] = psi[inverse[i]].
     The phase (-i)**k of each RX column entry, k the qubits whose row and column bits differ."""
     rows = np.arange(2**n_qubits)
-    order = rows.copy()
+    order, inverse = rows.copy(), np.empty_like(rows)
     for q in range(n_qubits if n_qubits > 1 else 0):  # CNOT q -> (q + 1) mod n, in turn
         order ^= ((order >> (n_qubits - 1 - q)) & 1) << (n_qubits - 1 - (q + 1) % n_qubits)
+    inverse[order] = rows  # not argsort, whose sort kernels add 256 KB of code to the RSS
     flips = sum(((rows[:, None] ^ rows) >> q) & 1 for q in range(n_qubits))
-    tables = order, order.argsort(), np.array([1, -1j, -1, 1j])[flips % 4]
+    tables = order, inverse, np.array([1, -1j, -1, 1j])[flips % 4]
     for table in tables:
         table.setflags(write=False)
     return tables

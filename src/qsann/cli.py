@@ -62,7 +62,7 @@ class RunConfig:
     noise_p: float | None = None
 
     def __post_init__(self) -> None:
-        check_field_types(self, json_only=True)  # config.json must hold every value
+        check_field_types(self)  # config.json must hold every value
         if self.model not in MODEL_KINDS:
             raise ConfigurationError(f"model must be one of {MODEL_KINDS}")
         if not self.dataset_path:

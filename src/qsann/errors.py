@@ -1,7 +1,6 @@
 """Exception types shared across the package, and the configs' field-type check."""
 
 import dataclasses
-import numbers
 
 
 class QsannError(Exception):
@@ -24,27 +23,25 @@ class TrainingAborted(QsannError, RuntimeError):
     """Training stopped because of a non-finite loss or gradient."""
 
 
-_SCALAR_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
+# builtin types only: json writes them, and a fixed-width numpy int could wrap in arithmetic
+_SCALAR_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
-def _fits(value, annotation: str, json_only: bool) -> bool:
+def _fits(value, annotation: str) -> bool:
     if annotation.endswith(" | None"):
-        return value is None or _fits(value, annotation[: -len(" | None")], json_only)
+        return value is None or _fits(value, annotation[: -len(" | None")])
     if annotation.startswith("list["):
-        return isinstance(value, list) and all(_fits(v, annotation[5:-1], json_only) for v in value)
+        return isinstance(value, list) and all(_fits(v, annotation[5:-1]) for v in value)
     if isinstance(value, bool) != (annotation == "bool"):
-        return False
-    if json_only and not isinstance(value, (str, int, float)):  # e.g. numpy's int64
         return False
     return isinstance(value, _SCALAR_TYPES[annotation])
 
 
-def check_field_types(config, json_only: bool = False) -> None:
+def check_field_types(config) -> None:
     """Refuse a dataclass config whose field values do not fit their annotations, such as
-    ``list[int] | None``: an int field takes any Integral and a float field any Real, numpy
-    scalars included, and neither takes a bool.  ``json_only`` refuses what json cannot
-    write, numpy scalars other than float64."""
+    ``list[int] | None``: an int field takes a Python int and a float field an int or a
+    float (numpy's float64 is one), and neither takes a bool or another numpy scalar."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if not _fits(value, f.type, json_only):
+        if not _fits(value, f.type):
             raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")

@@ -28,14 +28,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("fields", [
         (2, 1, 1, 1.5), (2.5, 1, 1, 1), (2, True, 1, 1), (2, 1, 1, 1, "x"),
+        (np.int64(2), 1, 1, 1), (2, 1, 1, np.int64(1)), (2, 1, 1, 1, np.float32(0.1)),
     ], ids=str)
     def test_mistyped_fields_refused(self, fields):
         with pytest.raises(ConfigurationError):
             ModelConfig(*fields)
 
-    def test_numpy_scalars_accepted(self):
-        config = ModelConfig(np.int64(2), np.int64(1), np.int32(1), np.int64(1), np.float64(0.1))
-        assert config.embed_dim == 6
+    def test_fixed_width_int_refused_before_the_memory_check(self):
+        # 4**11 wraps in int32, so the budget's product would read ~170 MB, not ~26 GB
+        with pytest.raises(ConfigurationError, match="n_qubits must be int"):
+            ModelConfig(np.int32(11), 1, 1, 1)
+
+    def test_float64_penalties_accepted_and_checkpointed(self, rng, tmp_path):
+        from qsann.checkpoint import load_checkpoint, save_checkpoint
+
+        config = ModelConfig(2, 1, 1, 1, np.float64(0.1), np.float64(0.2))
+        vocab = data.Vocabulary([data.OOV_TOKEN, "a", "b"])
+        save_checkpoint(tmp_path / "c.json", init_model(config, 3, rng), vocab, {})
+        assert load_checkpoint(tmp_path / "c.json")[0].config == config
 
     @pytest.mark.parametrize("kind", sorted(training.MODEL_KINDS))
     @pytest.mark.parametrize("lam,gamma", [

@@ -59,14 +59,16 @@ class TestTrainConfig:
     @pytest.mark.parametrize("fields", [
         {"epochs": 1.5}, {"batch_size": 1.5}, {"stop_window": 2.5}, {"seed": -1},
         {"lam": "x"}, {"learning_rate": "x"}, {"epochs": True}, {"shuffle": 1},
+        {"epochs": np.int64(2)}, {"batch_size": np.int32(3)}, {"seed": np.int64(4)},
+        {"lam": np.float32(0.1)},
     ], ids=str)
     def test_mistyped_or_negative_fields_refused(self, fields):
         with pytest.raises(ConfigurationError):
             TrainConfig(**{"learning_rate": 0.1, "epochs": 1, **fields})
 
-    def test_numpy_scalars_accepted(self):
-        config = TrainConfig(np.float64(0.1), np.int64(2), batch_size=np.int32(3), seed=np.int64(4))
-        assert (config.epochs, config.batch_size, config.seed) == (2, 3, 4)
+    def test_float64_accepted(self):
+        config = TrainConfig(np.float64(0.1), 2, lam=np.float64(0.01))
+        assert (config.learning_rate, config.lam) == (0.1, 0.01)
 
 
 class TestAdam:
