@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_field_types
 from .sim import (
     Gate,
     PauliString,
@@ -50,6 +50,7 @@ class AnsatzSpec:
     depth: int
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_qubits < 1:
             raise ConfigurationError("n_qubits must be positive")
         if self.depth < 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the configs' field-type check."""
+"""Exception types shared across the package, and the field-type check of configs and values."""
 
 import dataclasses
 
@@ -37,11 +37,15 @@ def _fits(value, annotation: str) -> bool:
     return isinstance(value, _SCALAR_TYPES[annotation])
 
 
+def check_field(name: str, value, annotation: str) -> None:
+    """Refuse a value that does not fit its annotation, such as ``list[int] | None``: an int
+    takes a Python int and a float an int or a float (numpy's float64 is one), and neither
+    takes a bool or another numpy scalar."""
+    if not _fits(value, annotation):
+        raise ConfigurationError(f"{name} must be {annotation}, got {value!r}")
+
+
 def check_field_types(config) -> None:
-    """Refuse a dataclass config whose field values do not fit their annotations, such as
-    ``list[int] | None``: an int field takes a Python int and a float field an int or a
-    float (numpy's float64 is one), and neither takes a bool or another numpy scalar."""
+    """Refuse a dataclass config whose field values do not fit their annotations."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if not _fits(value, f.type):
-            raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field(f.name, getattr(config, f.name), f.type)

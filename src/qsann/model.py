@@ -20,7 +20,6 @@ model kind: the functions below take any model with ``head_w``, ``head_b``,
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -36,7 +35,7 @@ from .attention import (
     layer_forward,
 )
 from .data import EmbeddingTable
-from .errors import ConfigurationError, EmptySequenceError, check_field_types
+from .errors import ConfigurationError, EmptySequenceError, check_field, check_field_types
 from .sim import NoiseChannel
 
 # Memory the attention engine's operator stacks may take (see ModelConfig).
@@ -93,8 +92,9 @@ class ModelConfig:
 
 def check_head(model) -> None:
     """Store head_w and head_b as float arrays; check them and the lam/gamma penalties."""
-    # real numbers only, and chained comparisons so that NaN fails them
-    if not all(isinstance(x, numbers.Real) and 0 <= x < np.inf for x in (model.lam, model.gamma)):
+    for name in ("lam", "gamma"):  # builtin numbers only, as in a config
+        check_field(f"regularization coefficient {name}", getattr(model, name), "float")
+    if not all(0 <= x < np.inf for x in (model.lam, model.gamma)):  # chained, so NaN fails
         raise ConfigurationError("regularization coefficients must be finite and >= 0")
     model.head_w = np.asarray(model.head_w, dtype=np.float64)
     model.head_b = np.asarray(model.head_b, dtype=np.float64)

@@ -5,9 +5,14 @@ Pure states are complex amplitude vectors of length 2**n; mixed states are
 qubit 0 is the most significant bit of an amplitude index, so the observable
 conventionally written Z_1 acts on qubit index 0.
 
-Gates are applied as strided index-pair updates on the amplitude array.  The
-density-matrix kernels are the tests' reference for the attention layer,
-which applies noise to operators with ``apply_channel_every_qubit`` instead.
+One kernel, ``_apply_2x2``, applies every single-qubit operation (a gate, a
+rotation, the Hadamard layer, each Pauli letter of an observable): a 2x2
+matrix, or one per row, contracted into one qubit of ``(batch, 2**width)``
+rows; a CNOT permutes the rows' amplitudes.  A density stack is read as
+``(batch, 4**n)`` rows of 2n qubits, row bits first, so M rho M^dagger is M
+on qubit q and M* on qubit n + q.  The density-matrix kernels are the tests'
+reference for the attention layer, which applies noise to operators with
+``apply_channel_every_qubit`` instead.
 The explicit Kronecker-product construction (``circuit_unitary``) is kept
 only as an independent reference path for tests; ``pauli_matrix`` also
 gives the layer its observable matrices.  All internal kernels operate on
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_field_types
 
 MAX_QUBITS = 16
 _TWO_PI = 2.0 * math.pi
@@ -64,6 +69,7 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in GATE_KINDS:
             raise ConfigurationError(f"unknown gate kind {self.kind!r}")
         if self.target < 0:
@@ -78,6 +84,8 @@ class Gate:
             if self.control == self.target:
                 raise ConfigurationError("CNOT control and target must differ")
         if self.angle is not None:
+            if not math.isfinite(self.angle):
+                raise ConfigurationError(f"gate angle must be finite, got {self.angle}")
             wrapped = float(self.angle) % _TWO_PI
             if wrapped >= _TWO_PI:
                 wrapped = 0.0
@@ -103,7 +111,7 @@ class StateVector:
                 f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-10:
+        if not -1e-10 <= norm_sq - 1.0 <= 1e-10:  # chained, so NaN fails it
             raise ConfigurationError(f"state is not normalized: |psi|^2 = {norm_sq}")
 
 
@@ -179,6 +187,7 @@ class NoiseChannel:
     target: int | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
@@ -199,7 +208,7 @@ class NoiseChannel:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (internal).  ``arr`` always carries the batch on axis 0.
+# Batched kernels (internal).  Every array carries the batch on axis 0.
 
 
 def rotation_matrix(kind: str, angle) -> np.ndarray:
@@ -229,137 +238,80 @@ def rotation_matrix(kind: str, angle) -> np.ndarray:
     return m
 
 
-def _apply_2x2_on_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract a 2x2 matrix (or per-batch-row stack of them) into one axis."""
-    a = np.moveaxis(arr, axis, -1)
+def _apply_2x2(rows: np.ndarray, mat: np.ndarray, qubit: int, width: int) -> np.ndarray:
+    """A 2x2 matrix, or one per row, on one qubit of (batch, 2**width) rows."""
+    a = np.moveaxis(rows.reshape((len(rows),) + (2,) * width), 1 + qubit, -1)
     lead = a.shape
-    a = a.reshape(a.shape[0], -1, 2)
-    if mat.ndim == 2:
-        out = a @ mat.T
-    else:
-        out = np.einsum("bij,bkj->bki", mat, a)
-    return np.moveaxis(out.reshape(lead), -1, axis)
-
-
-def _swap_on_axes(arr: np.ndarray, control_axis: int, target_axis: int) -> np.ndarray:
-    """CNOT as a basis permutation over one control/target axis pair."""
-    out = arr.copy()
-    sel = [slice(None)] * arr.ndim
-    sel[control_axis] = 1
-    s0, s1 = list(sel), list(sel)
-    s0[target_axis] = 0
-    s1[target_axis] = 1
-    out[tuple(s0)] = arr[tuple(s1)]
-    out[tuple(s1)] = arr[tuple(s0)]
-    return out
-
-
-def _pauli_on_axis(arr: np.ndarray, letter: str, axis: int) -> np.ndarray:
-    if letter == "I":
-        return arr
-    out = arr.copy()
-    sel = [slice(None)] * arr.ndim
-    s0, s1 = list(sel), list(sel)
-    s0[axis] = 0
-    s1[axis] = 1
-    s0, s1 = tuple(s0), tuple(s1)
-    if letter == "X":
-        out[s0] = arr[s1]
-        out[s1] = arr[s0]
-    elif letter == "Y":
-        out[s0] = -1j * arr[s1]
-        out[s1] = 1j * arr[s0]
-    else:  # Z
-        out[s1] = -arr[s1]
-    return out
-
-
-def zero_state_batch(n_qubits: int, batch: int) -> np.ndarray:
-    amps = np.zeros((batch, 2**n_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    return amps
+    a = a.reshape(len(rows), -1, 2)
+    out = a @ mat.T if mat.ndim == 2 else np.einsum("bij,bkj->bki", mat, a)
+    return np.moveaxis(out.reshape(lead), -1, 1 + qubit).reshape(len(rows), -1)
 
 
 def apply_gate_batch(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
     """Apply one gate to a (batch, 2**n) amplitude array."""
     if gate.kind == "CNOT":
         return apply_cnot_batch(amps, gate.control, gate.target, n_qubits)
-    shape = (amps.shape[0],) + (2,) * n_qubits
-    out = _apply_2x2_on_axis(amps.reshape(shape), gate_matrix(gate), 1 + gate.target)
-    return out.reshape(amps.shape[0], -1)
+    return _apply_2x2(amps, gate_matrix(gate), gate.target, n_qubits)
 
 
 def apply_rotation_batch(
     amps: np.ndarray, kind: str, qubit: int, angles, n_qubits: int
 ) -> np.ndarray:
     """Rotation on one qubit; ``angles`` may be scalar or one angle per row."""
-    shape = (amps.shape[0],) + (2,) * n_qubits
-    mat = rotation_matrix(kind, angles)
-    out = _apply_2x2_on_axis(amps.reshape(shape), mat, 1 + qubit)
-    return out.reshape(amps.shape[0], -1)
+    return _apply_2x2(amps, rotation_matrix(kind, angles), qubit, n_qubits)
 
 
 def apply_cnot_batch(
     amps: np.ndarray, control: int, target: int, n_qubits: int
 ) -> np.ndarray:
-    shape = (amps.shape[0],) + (2,) * n_qubits
-    out = _swap_on_axes(amps.reshape(shape), 1 + control, 1 + target)
-    return out.reshape(amps.shape[0], -1)
+    """CNOT on (batch, 2**n) rows: where the control bit is 1, swap the target bit's halves."""
+    shape = (len(amps),) + (2,) * n_qubits
+    sel = [slice(None)] * (1 + n_qubits)
+    sel[1 + control] = slice(1, 2)  # a slice, not 1, so that the target keeps its axis
+    out = amps.copy()
+    out.reshape(shape)[tuple(sel)] = np.flip(amps.reshape(shape)[tuple(sel)], 1 + target)
+    return out
 
 
 def apply_hadamard_layer_batch(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     for q in range(n_qubits):
-        shape = (amps.shape[0],) + (2,) * n_qubits
-        amps = _apply_2x2_on_axis(amps.reshape(shape), _H2, 1 + q).reshape(
-            amps.shape[0], -1
-        )
+        amps = _apply_2x2(amps, _H2, q, n_qubits)
     return amps
+
+
+def _apply_pauli(rows: np.ndarray, obs: PauliString, width: int) -> np.ndarray:
+    """P on qubits 0..len(P)-1 of (batch, 2**width) rows, one letter's matrix at a time."""
+    for q, letter in enumerate(obs.letters):
+        if letter != "I":
+            rows = _apply_2x2(rows, _FIXED_MATRICES[letter], q, width)
+    return rows
 
 
 def expectation_batch(amps: np.ndarray, obs: PauliString, n_qubits: int) -> np.ndarray:
     """<psi|P|psi> for every row; clipped into [-1, 1]."""
-    shape = (amps.shape[0],) + (2,) * n_qubits
-    work = amps.reshape(shape)
-    for q, letter in enumerate(obs.letters):
-        work = _pauli_on_axis(work, letter, 1 + q)
-    values = np.einsum("bi,bi->b", amps.conj(), work.reshape(amps.shape)).real
+    values = np.einsum("bi,bi->b", amps.conj(), _apply_pauli(amps, obs, n_qubits)).real
     return np.clip(values, -1.0, 1.0)
 
 
-# Density-matrix kernels.  Row (ket) qubit axes sit at 1..n once reshaped to
-# (batch, 2, ..., 2, dim); column (bra) axes at 2..n+1 once reshaped to
-# (batch, dim, 2, ..., 2).
-
-
-def _dm_rows(rhos: np.ndarray, n_qubits: int) -> np.ndarray:
-    batch, dim, _ = rhos.shape
-    return rhos.reshape((batch,) + (2,) * n_qubits + (dim,))
-
-
-def _dm_cols(rhos: np.ndarray, n_qubits: int) -> np.ndarray:
-    batch, dim, _ = rhos.shape
-    return rhos.reshape((batch, dim) + (2,) * n_qubits)
+# Density-matrix kernels.  A (batch, 2**n, 2**n) stack is read as (batch, 4**n) rows of 2n
+# qubits, row (ket) bits first: vec(M rho M^dag) = (M (x) M*) vec(rho) (Wood, Biamonte and
+# Cory, arXiv:1111.6950), so M rho M^dag is M on qubit q and M* on qubit n + q.
 
 
 def _dm_conjugate_1q(
     rhos: np.ndarray, mat: np.ndarray, qubit: int, n_qubits: int
 ) -> np.ndarray:
     """rho -> M rho M^dagger on one qubit (M need not be unitary)."""
-    batch, dim, _ = rhos.shape
-    t = _apply_2x2_on_axis(_dm_rows(rhos, n_qubits), mat, 1 + qubit)
-    t = t.reshape(batch, dim, dim)
-    t = _apply_2x2_on_axis(_dm_cols(t, n_qubits), mat.conj(), 2 + qubit)
-    return t.reshape(batch, dim, dim)
+    t = _apply_2x2(rhos.reshape(len(rhos), -1), mat, qubit, 2 * n_qubits)
+    return _apply_2x2(t, mat.conj(), n_qubits + qubit, 2 * n_qubits).reshape(rhos.shape)
 
 
 def apply_gate_dm_batch(rhos: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
-    batch, dim, _ = rhos.shape
-    if gate.kind == "CNOT":
-        t = _swap_on_axes(_dm_rows(rhos, n_qubits), 1 + gate.control, 1 + gate.target)
-        t = t.reshape(batch, dim, dim)
-        t = _swap_on_axes(_dm_cols(t, n_qubits), 2 + gate.control, 2 + gate.target)
-        return t.reshape(batch, dim, dim)
-    return _dm_conjugate_1q(rhos, gate_matrix(gate), gate.target, n_qubits)
+    if gate.kind != "CNOT":
+        return _dm_conjugate_1q(rhos, gate_matrix(gate), gate.target, n_qubits)
+    t = apply_cnot_batch(rhos.reshape(len(rhos), -1), gate.control, gate.target, 2 * n_qubits)
+    t = apply_cnot_batch(t, n_qubits + gate.control, n_qubits + gate.target, 2 * n_qubits)
+    return t.reshape(rhos.shape)
 
 
 def apply_rotation_dm_batch(
@@ -392,11 +344,16 @@ def _channel_plan(n_qubits: int, batch: int) -> tuple[np.ndarray, ...]:
     """Read-only flat gathers of a (batch, 2**n, 2**n) stack into (pair a, batch, other pairs,
     pair b) for qubits (a, b) = (0, 1), (2, 3), ..., each from the one before, then back."""
     pairs = [[1 + q, 1 + n_qubits + q] for q in range(n_qubits)] + [[]]  # (row bit, column bit)
-    source = np.arange(batch * 4**n_qubits).reshape([batch] + [2] * (2 * n_qubits))
+    index = np.arange(batch * 4**n_qubits)
+    source = index.reshape([batch] + [2] * (2 * n_qubits))
     layouts = [pairs[a] + [0] + sum(pairs[:a] + pairs[a + 2 :], []) + pairs[a + 1]
                for a in range(0, n_qubits, 2)]
-    flat = [source.transpose(layout).ravel() for layout in layouts] + [source.ravel()]
-    gathers = [flat[0]] + [np.argsort(before)[after] for before, after in zip(flat, flat[1:])]
+    flat = [source.transpose(layout).ravel() for layout in layouts] + [index]
+    gathers = [flat[0]]
+    for before, after in zip(flat, flat[1:]):
+        inverse = np.empty_like(before)
+        inverse[before] = index  # a scatter, not argsort: numpy's first sort maps its kernels
+        gathers.append(inverse[after])
     for gather in gathers:
         gather.flags.writeable = False
     return tuple(gathers)
@@ -427,11 +384,8 @@ def expectation_dm_batch(
     rhos: np.ndarray, obs: PauliString, n_qubits: int
 ) -> np.ndarray:
     """Tr[P rho] for every row (real part; exact up to float rounding)."""
-    batch, dim, _ = rhos.shape
-    t = _dm_rows(rhos, n_qubits)
-    for q, letter in enumerate(obs.letters):
-        t = _pauli_on_axis(t, letter, 1 + q)
-    return np.einsum("bii->b", t.reshape(batch, dim, dim)).real
+    t = _apply_pauli(rhos.reshape(len(rhos), -1), obs, 2 * n_qubits)
+    return np.einsum("bii->b", t.reshape(rhos.shape)).real
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +398,9 @@ def init_zero_state(n_qubits: int) -> StateVector:
         raise ConfigurationError(
             f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}"
         )
-    return StateVector(n_qubits, zero_state_batch(n_qubits, 1)[0])
+    amps = np.zeros(2**n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(n_qubits, amps)
 
 
 def _check_gate_indices(gate: Gate, n_qubits: int) -> None:
@@ -456,9 +412,7 @@ def _check_gate_indices(gate: Gate, n_qubits: int) -> None:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Return the state after one gate; the input state is left untouched."""
-    _check_gate_indices(gate, state.n_qubits)
-    amps = apply_gate_batch(state.amplitudes[None, :], gate, state.n_qubits)
-    return StateVector(state.n_qubits, amps[0])
+    return apply_circuit(state, [gate])
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:

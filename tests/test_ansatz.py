@@ -100,6 +100,13 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             AnsatzSpec(2, -1)
 
+    @pytest.mark.parametrize("fields", [
+        (2.5, 1), (2, 1.5), (True, 0), (2, False), (np.int64(2), 1), ("2", 1), (2, None),
+    ], ids=str)
+    def test_mistyped_fields_refused(self, fields):
+        with pytest.raises(ConfigurationError):
+            AnsatzSpec(*fields)
+
     def test_param_vector_length(self):
         spec = AnsatzSpec(2, 1)
         ParamVector(spec, np.zeros(6))

@@ -126,3 +126,15 @@ class TestSharedHarness:
         params = random_naive(rng)
         acc, loss_value = training.evaluate([([1], 1), ([2], 0)], params)
         assert 0.0 <= acc <= 1.0 and np.isfinite(loss_value)
+
+
+@pytest.mark.parametrize("init", [init_csann, init_naive], ids=["csann", "naive"])
+def test_float64_penalties_accepted_and_checkpointed(rng, tmp_path, init):
+    # numpy float64 is a float, so json writes it; float32 and numpy ints are refused when
+    # the model is built (tests/test_model.py::TestModelValidation)
+    from qsann.checkpoint import load_checkpoint, save_checkpoint
+
+    params = init(3, 4, rng, lam=np.float64(0.1), gamma=np.float64(0.2))
+    save_checkpoint(tmp_path / "c.json", params, data.Vocabulary([data.OOV_TOKEN, "a", "b"]), {})
+    loaded = load_checkpoint(tmp_path / "c.json")[0]
+    assert (type(loaded), loaded.lam, loaded.gamma) == (type(params), 0.1, 0.2)

@@ -575,7 +575,10 @@ class TestParameterCount:
 
 
 class TestModelValidation:
-    @pytest.mark.parametrize("lam,gamma", [("x", 0.0), (0.0, None), ([0.1], 0.0)])
+    @pytest.mark.parametrize("lam,gamma", [
+        ("x", 0.0), (0.0, None), ([0.1], 0.0), (np.float32(0.1), 0.0), (True, 0.0),
+        (0.0, np.int64(1)),
+    ])
     def test_non_number_penalties_refused(self, rng, lam, gamma):
         with pytest.raises(ConfigurationError, match="(lam|gamma) must be float"):
             ModelConfig(2, 1, 1, 1, lam=lam, gamma=gamma)  # its field check, before any model

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from qsann.errors import ConfigurationError
 from qsann.sim import (
+    FIXED_KINDS,
+    PAULI_LETTERS,
+    ROTATION_KINDS,
     DensityMatrix,
     Gate,
     NoiseChannel,
@@ -16,11 +20,14 @@ from qsann.sim import (
     apply_circuit,
     apply_gate,
     apply_gate_dm,
+    apply_gate_dm_batch,
+    apply_rotation_dm_batch,
     circuit_unitary,
     density_from_state,
     embedded_gate_unitary,
     expectation,
     expectation_dm,
+    expectation_dm_batch,
     init_zero_state,
     pauli_matrix,
 )
@@ -38,6 +45,35 @@ def transposed_channel_every_qubit(ops, channel, n, adjoint=False):
         t = np.dot(t.reshape(-1, 4), sup).reshape(len(ops), 4, -1).swapaxes(1, 2)
     rows_cols = [0] + [2 * ((q - 1) % n) + side for side in (1, 2) for q in range(n)]
     return t.reshape(bits).transpose(rows_cols).reshape(ops.shape)
+
+
+def argsort_channel_plan(n, batch):
+    """The channel's gathers as first built, each layout inverted by ``np.argsort``."""
+    pairs = [[1 + q, 1 + n + q] for q in range(n)] + [[]]
+    source = np.arange(batch * 4**n).reshape([batch] + [2] * (2 * n))
+    layouts = [pairs[a] + [0] + sum(pairs[:a] + pairs[a + 2 :], []) + pairs[a + 1]
+               for a in range(0, n, 2)]
+    flat = [source.transpose(layout).ravel() for layout in layouts] + [source.ravel()]
+    return [flat[0]] + [np.argsort(before)[after] for before, after in zip(flat, flat[1:])]
+
+
+def embed(op, qubit, n):
+    """A 2x2 operator on one qubit of n, as its 2**n x 2**n Kronecker product."""
+    return np.kron(np.kron(np.eye(2**qubit), op), np.eye(2 ** (n - qubit - 1)))
+
+
+def random_stack(rng, batch, dim):
+    """Complex (batch, dim, dim) matrices, neither Hermitian nor of unit trace."""
+    return rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
+
+
+def every_gate(rng, n):
+    """Each fixed gate and rotation on each qubit, and a CNOT on each ordered qubit pair."""
+    for q in range(n):
+        yield from (Gate(kind, q) for kind in FIXED_KINDS)
+        angles = rng.uniform(0, 2 * np.pi, len(ROTATION_KINDS))
+        yield from (Gate(kind, q, angle=float(a)) for kind, a in zip(ROTATION_KINDS, angles))
+        yield from (Gate("CNOT", q, control=c) for c in range(n) if c != q)
 
 
 def random_circuit(rng, n_qubits, n_gates):
@@ -101,6 +137,19 @@ class TestGateValidation:
     def test_self_cnot_rejected(self):
         with pytest.raises(ConfigurationError):
             Gate("CNOT", 1, control=1)
+
+    @pytest.mark.parametrize("args,kwargs", [
+        (("H", 1.5), {}), (("H", True), {}), (("H", np.int64(0)), {}), ((0, 0), {}),
+        (("CNOT", 0), {"control": 1.0}), (("RX", 0), {"angle": math.nan}),
+        (("RX", 0), {"angle": math.inf}), (("RX", 0), {"angle": -math.inf}),
+        (("RX", 0), {"angle": "x"}), (("RX", 0), {"angle": np.float32(0.5)}),
+    ], ids=str)
+    def test_mistyped_or_non_finite_fields_refused(self, args, kwargs):
+        with pytest.raises(ConfigurationError):
+            Gate(*args, **kwargs)
+
+    def test_numpy_float64_and_str_accepted(self):
+        assert Gate(np.str_("RX"), 0, angle=np.float64(0.5)).angle == 0.5
 
 
 class TestApplyGate:
@@ -184,6 +233,12 @@ class TestStateValidation:
         with pytest.raises(ConfigurationError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[math.nan, 1.0], [math.nan, 0.0], [1.0, math.nan * 1j],
+                                      [math.inf, 0.0]], ids=str)
+    def test_non_finite_amplitudes_refused(self, amps):
+        with pytest.raises(ConfigurationError):
+            StateVector(1, np.array(amps))
+
     def test_length_enforced(self):
         with pytest.raises(ConfigurationError):
             StateVector(2, np.array([1.0, 0.0]))
@@ -239,6 +294,15 @@ class TestNoiseChannels:
             NoiseChannel("depolarizing", 1.5)
         with pytest.raises(ConfigurationError):
             NoiseChannel("amplitude_damping", -0.1)
+
+    @pytest.mark.parametrize("fields", [
+        ("depolarizing", "x"), ("depolarizing", True), ("depolarizing", np.float32(0.1)),
+        ("depolarizing", math.nan), ("depolarizing", 0.1, 0.5), ("depolarizing", 0.1, True),
+        ("depolarizing", 0.1, np.int64(0)), (None, 0.1),
+    ], ids=str)
+    def test_mistyped_fields_refused(self, fields):
+        with pytest.raises(ConfigurationError):
+            NoiseChannel(*fields)
 
     def test_kraus_completeness(self):
         for kind in ("depolarizing", "amplitude_damping"):
@@ -312,7 +376,11 @@ class TestNoiseChannels:
         ops = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
         want = ops
         for q in range(n):
+            # the Kraus kernel itself against sum_K K rho K^dag, K embedded by Kronecker products
+            embedded = [embed(k, q, n) for k in channel.kraus_operators()]
+            kraus_sum = sum(k @ want @ k.conj().T for k in embedded)
             want = apply_channel_batch(want, channel, q, n)
+            assert np.max(np.abs(want - kraus_sum)) < 1e-12
         assert np.max(np.abs(apply_channel_every_qubit(ops, channel, n) - want)) < 1e-12
         adjoint = apply_channel_every_qubit(ops, channel, n, adjoint=True)
         rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -356,6 +424,13 @@ class TestNoiseChannels:
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
+    def test_gather_plans_equal_an_argsort_construction(self):
+        for n in range(1, 6):
+            for batch in (1, 3, 14):
+                plan, want = _channel_plan(n, batch), argsort_channel_plan(n, batch)
+                assert len(plan) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(plan, want))
+
     def test_gather_plans_are_read_only(self):
         channel = NoiseChannel("depolarizing", 0.1)
         apply_channel_every_qubit(np.eye(8)[None], channel, 3)
@@ -384,6 +459,37 @@ class TestNoiseChannels:
             apply_channel(rho, NoiseChannel("depolarizing", 0.1))
         with pytest.raises(IndexError):
             apply_channel(rho, NoiseChannel("depolarizing", 0.1, target=3))
+
+
+class TestDensityKernelsAgainstKronecker:
+    """Each density kernel against U rho U^dag or Tr[P rho] with Kronecker-product operators."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_gate_on_every_qubit(self, rng, n):
+        rhos = random_stack(rng, 3, 2**n)
+        for gate in every_gate(rng, n):
+            u = embedded_gate_unitary(gate, n)
+            got = apply_gate_dm_batch(rhos, gate, n)
+            assert np.max(np.abs(got - u @ rhos @ u.conj().T)) < 1e-12, gate
+
+    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rotation_with_one_angle_per_row(self, rng, n, kind):
+        rhos = random_stack(rng, 3, 2**n)
+        angles = rng.uniform(0, 2 * np.pi, 3)
+        for q in range(n):
+            got = apply_rotation_dm_batch(rhos, kind, q, angles, n)
+            for rho, out, angle in zip(rhos, got, angles):
+                u = embedded_gate_unitary(Gate(kind, q, angle=float(angle)), n)
+                assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_expectation_on_every_pauli_string(self, rng, n):
+        rhos = random_stack(rng, 3, 2**n)
+        for letters in itertools.product(PAULI_LETTERS, repeat=n):
+            obs = PauliString(letters)
+            want = np.trace(pauli_matrix(obs) @ rhos, axis1=1, axis2=2).real
+            assert np.max(np.abs(expectation_dm_batch(rhos, obs, n) - want)) < 1e-12, obs
 
 
 class TestOracleHelpers:

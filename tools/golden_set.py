@@ -15,7 +15,13 @@ and 60 of 1-9 words with a dev split), runs:
 - at n = 4, where the toy geometry (n = 2, depth 1) cannot see the CNOT ring or a deep
   encoder: the ``yelp``, ``amazon`` and ``rp`` presets with two layers, seed 0 for 2
   epochs, pure, with depolarizing noise 0.1 and with amplitude damping 0.2, on a third
-  corpus of 40 sentences of 1-14 words, with the same evals and attention CSVs.
+  corpus of 40 sentences of 1-14 words, with the same evals and attention CSVs;
+- without the command line, which never reaches the gate-by-gate simulator,
+  ``simulator.txt``: ``float.hex`` values from the public simulator API alone, for 200
+  seeded random circuits on 1-3 qubits run by ``apply_circuit``, ``expectation`` on every
+  Pauli string, then ``density_from_state``, four ``apply_gate_dm`` gates, ``apply_channel``
+  of both kinds and ``expectation_dm`` on every Pauli string; and ``encode_input`` and
+  ``param_shift_grad`` on the toy geometry's spec (two qubits, depth 1).
 
 Every command runs in ``<out_dir>`` (which must be new or empty) with relative
 paths, and its exit code and standard output are kept as ``<name>.stdout``.
@@ -32,12 +38,27 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
+import math
 import os
 import random
 import sys
 from pathlib import Path
 
+from qsann.ansatz import AnsatzSpec, encode_input, param_shift_grad
 from qsann.cli import main as qsann
+from qsann.sim import (
+    Gate,
+    NoiseChannel,
+    PauliString,
+    apply_channel,
+    apply_circuit,
+    apply_gate_dm,
+    density_from_state,
+    expectation,
+    expectation_dm,
+    init_zero_state,
+)
 
 SEEDS = "0,1"
 PENALTIES = ["--set", "lam=0.1", "--set", "gamma=0.2"]
@@ -105,6 +126,56 @@ def report(seed_dir: str, splits, quantum: bool) -> None:
         run(out, ["attention", *checkpoint, "--split", split, "--indices", indices, "--out", out])
 
 
+def random_gates(rng: random.Random, n: int, count: int) -> list[Gate]:
+    """``count`` gates of every kind on random qubits, rotations at angles in [-7, 7)."""
+    kinds = ["H", "X", "Y", "Z", "I", "RX", "RY", "RZ"] + ["CNOT"] * (n > 1)
+    gates = []
+    for _ in range(count):
+        kind, target = rng.choice(kinds), rng.randrange(n)
+        if kind == "CNOT":
+            control = rng.choice([q for q in range(n) if q != target])
+            gates.append(Gate(kind, target, control=control))
+        elif kind.startswith("R"):
+            gates.append(Gate(kind, target, angle=rng.uniform(-7.0, 7.0)))
+        else:
+            gates.append(Gate(kind, target))
+    return gates
+
+
+def hex_line(label: str, values) -> str:
+    return " ".join([label, *(float(v).hex() for v in values)])
+
+
+def simulator_file(path: Path, seed: int, circuits: int = 200) -> None:
+    """``float.hex`` values of the public simulator on seeded random circuits, one line each."""
+    rng, lines = random.Random(seed), []
+    for index in range(circuits):
+        n = 1 + index % 3
+        strings = [PauliString(letters) for letters in itertools.product("IXYZ", repeat=n)]
+        state = apply_circuit(init_zero_state(n), random_gates(rng, n, rng.randint(1, 12)))
+        amps = state.amplitudes
+        lines.append(hex_line(f"{index} state", [*amps.real, *amps.imag]))
+        lines.append(hex_line(f"{index} expectation", [expectation(state, p) for p in strings]))
+        rho = density_from_state(state)
+        for gate in random_gates(rng, n, 4):
+            rho = apply_gate_dm(rho, gate)
+        for kind in ("depolarizing", "amplitude_damping"):
+            rho = apply_channel(rho, NoiseChannel(kind, rng.random(), target=rng.randrange(n)))
+        entries = rho.entries.ravel()
+        lines.append(hex_line(f"{index} density", [*entries.real, *entries.imag]))
+        lines.append(hex_line(f"{index} expectation_dm", [expectation_dm(rho, p) for p in strings]))
+    spec = AnsatzSpec(2, 1)  # the toy preset's circuits
+    width = spec.param_count
+    for index in range(20):
+        state = encode_input([rng.uniform(-math.pi, math.pi) for _ in range(width)], spec)
+        lines.append(hex_line(f"encode {index}", [*state.amplitudes.real, *state.amplitudes.imag]))
+        params = [rng.uniform(-math.pi, math.pi) for _ in range(width)]
+        for obs in map(PauliString.from_str, ("ZI", "IZ", "XX", "YZ")):
+            grads = [param_shift_grad(state, spec, params, obs, j) for j in range(width)]
+            lines.append(hex_line(f"shift {index} {obs}", grads))
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
 def golden_set() -> None:
     for index, (corpus, (count, shortest, longest, shared, extra, splits)) in enumerate(
         CORPORA.items()
@@ -127,6 +198,7 @@ def golden_set() -> None:
             out = f"{preset}_{run_name}"
             run(out, ["train", *common, *settings, "--out", out])
             report(f"{out}/seed_0", ("train", "test"), True)
+    simulator_file(Path("simulator.txt"), 24)
 
 
 def main(argv: list[str]) -> int:
