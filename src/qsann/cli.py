@@ -38,7 +38,7 @@ MODEL_KINDS = tuple(training.MODEL_KINDS)
 class RunConfig:
     """Everything one training run needs, as stored in config.json."""
 
-    dataset_path: str
+    dataset_path: str = ""  # required: __post_init__ refuses an empty path
     model: str = "qsann"
     ratios: list[float] = field(default_factory=lambda: [0.8, 0.2])
     split_seed: int = 0
@@ -86,14 +86,8 @@ class RunConfig:
             self.embed_dim = 16
         elif self.embed_dim < 1:
             raise ConfigurationError(f"embed_dim must be at least 1, got {self.embed_dim}")
-        budget = model_mod.ENGINE_MEMORY_BUDGET
         if self.model == "qsann":  # geometry and memory-budget checks
             model_mod.ModelConfig(self.n_qubits, self.enc_depth, self.qkv_depth, self.n_layers)
-        elif self.model == "csann" and training.TABLE_COPIES * 24 * self.embed_dim**2 > budget:
-            raise ConfigurationError(
-                f"embed_dim {self.embed_dim}: {training.TABLE_COPIES} copies of csann's three "
-                f"float64 projections exceed the {budget}-byte budget"
-            )
         if (self.noise_kind is None) != (self.noise_p is None):
             raise ConfigurationError("noise_kind and noise_p must be given together")
         if self.noise_kind is not None:
@@ -122,8 +116,6 @@ class RunConfig:
         unknown = set(values) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        if "dataset_path" not in values:
-            raise ConfigurationError("dataset_path is required")
         return cls(**values)
 
 
@@ -142,11 +134,14 @@ def _load_config_sources(args) -> dict:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                values.update(json.load(handle))
+                loaded = json.load(handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config {args.config} is not valid JSON: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config {args.config} must hold a JSON object")
+        values.update(loaded)
     if getattr(args, "dataset", None):
         values["dataset_path"] = args.dataset
     if getattr(args, "seeds", None):
@@ -344,7 +339,10 @@ def _load_checkpoint_split(args) -> tuple:
     path = args.dataset or recipe.get("source_path")
     if not path:
         raise ConfigurationError("checkpoint records no dataset path; pass --dataset")
-    cfg = RunConfig(path, doc["model_kind"], **{key: recipe[key] for key in keys})
+    # the checkpoint's own run: its model settings and its dataset recipe
+    settings = dict(doc["model_config"], **{key: recipe[key] for key in keys})
+    settings["embed_dim"] = settings.pop("dim", None)  # a baseline's width
+    cfg = RunConfig.from_dict({**settings, "dataset_path": path, "model": doc["model_kind"]})
     dataset = _build_dataset(cfg)
     if dataset.vocabulary.content_hash() != doc["vocab_sha256"]:
         raise ConfigurationError(

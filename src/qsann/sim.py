@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_field_types
+from .errors import ConfigurationError, check_field, check_field_types
 
 MAX_QUBITS = 16
 _TWO_PI = 2.0 * math.pi
@@ -51,6 +51,13 @@ _FIXED_MATRICES = {"H": _H2, "X": _X2, "Y": _Y2, "Z": _Z2, "I": _I2}
 
 # ---------------------------------------------------------------------------
 # Domain types
+
+
+def _check_qubit_count(n_qubits) -> None:
+    """Refuse a qubit count that is not a builtin int in [1, MAX_QUBITS]."""
+    check_field("n_qubits", n_qubits, "int")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ConfigurationError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +107,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_qubit_count(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
-        if not (1 <= self.n_qubits <= MAX_QUBITS):
-            raise ConfigurationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
         if amps.shape != (2**self.n_qubits,):
             raise ConfigurationError(
                 f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
@@ -123,12 +127,9 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_qubit_count(self.n_qubits)
         rho = np.asarray(self.entries, dtype=np.complex128)
         object.__setattr__(self, "entries", rho)
-        if not (1 <= self.n_qubits <= MAX_QUBITS):
-            raise ConfigurationError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
         dim = 2**self.n_qubits
         if rho.shape != (dim, dim):
             raise ConfigurationError(f"expected {dim}x{dim} matrix, got {rho.shape}")
@@ -164,6 +165,8 @@ class PauliString:
 
     @classmethod
     def single(cls, letter: str, qubit: int, n_qubits: int) -> "PauliString":
+        check_field("qubit", qubit, "int")
+        _check_qubit_count(n_qubits)
         if not 0 <= qubit < n_qubits:
             raise IndexError(f"qubit {qubit} out of range for {n_qubits} qubits")
         letters = ["I"] * n_qubits
@@ -394,10 +397,7 @@ def expectation_dm_batch(
 
 def init_zero_state(n_qubits: int) -> StateVector:
     """|0...0> on ``n_qubits`` qubits."""
-    if not isinstance(n_qubits, int) or not (1 <= n_qubits <= MAX_QUBITS):
-        raise ConfigurationError(
-            f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}"
-        )
+    _check_qubit_count(n_qubits)  # before 2**n_qubits amplitudes are allocated
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -408,6 +408,11 @@ def _check_gate_indices(gate: Gate, n_qubits: int) -> None:
         raise IndexError(f"gate target {gate.target} >= {n_qubits} qubits")
     if gate.control is not None and gate.control >= n_qubits:
         raise IndexError(f"gate control {gate.control} >= {n_qubits} qubits")
+
+
+def _check_observable(obs: PauliString, n_qubits: int) -> None:
+    if obs.n_qubits != n_qubits:
+        raise IndexError(f"observable on {obs.n_qubits} qubits but state has {n_qubits}")
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -425,10 +430,7 @@ def apply_circuit(state: StateVector, gates) -> StateVector:
 
 def expectation(state: StateVector, obs: PauliString) -> float:
     """<psi|P|psi>, clamped into [-1, 1]."""
-    if obs.n_qubits != state.n_qubits:
-        raise IndexError(
-            f"observable on {obs.n_qubits} qubits but state has {state.n_qubits}"
-        )
+    _check_observable(obs, state.n_qubits)
     return float(expectation_batch(state.amplitudes[None, :], obs, state.n_qubits)[0])
 
 
@@ -456,10 +458,7 @@ def apply_channel(rho: DensityMatrix, channel: NoiseChannel) -> DensityMatrix:
 
 
 def expectation_dm(rho: DensityMatrix, obs: PauliString) -> float:
-    if obs.n_qubits != rho.n_qubits:
-        raise IndexError(
-            f"observable on {obs.n_qubits} qubits but state has {rho.n_qubits}"
-        )
+    _check_observable(obs, rho.n_qubits)
     return float(expectation_dm_batch(rho.entries[None, :, :], obs, rho.n_qubits)[0])
 
 

@@ -202,6 +202,11 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(dataset_path="d.tsv", noise_kind="depolarizing", noise_p=1.5)
 
+    @pytest.mark.parametrize("values", [{}, {"dataset_path": ""}], ids=["absent", "empty"])
+    def test_dataset_path_required(self, values):
+        with pytest.raises(ConfigurationError, match="dataset_path is required"):
+            RunConfig.from_dict(values)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict({"dataset_path": "d.tsv", "typo_key": 1})
@@ -233,22 +238,15 @@ class TestRunConfig:
         assert cfg.noise_channel() is None
 
 
-# the widest csann whose three float64 d x d projections, in the copies training holds of
-# every parameter, fit the engine memory budget
+# the widest csann whose three float64 d x d projections alone, in the copies training holds
+# of every parameter, fit the engine memory budget; one wider is refused even with an empty
+# vocabulary, since the table-and-projections need 7 * 8 * (vocab + 3d) * d is at least
+# 7 * 24 * d**2
 CSANN_MAX_DIM = math.isqrt(model_mod.ENGINE_MEMORY_BUDGET // (training.TABLE_COPIES * 24))
 
 
-def test_csann_projections_checked_against_the_budget(tmp_path, toy_tsv, capsys, monkeypatch):
-    # RunConfig only checks the width: nothing of that size is allocated
-    assert RunConfig(str(toy_tsv), "csann", embed_dim=CSANN_MAX_DIM).embed_dim == CSANN_MAX_DIM
-    with pytest.raises(ConfigurationError, match="budget"):
-        RunConfig(str(toy_tsv), "csann", embed_dim=CSANN_MAX_DIM + 1)
-    assert RunConfig(str(toy_tsv), "naive", embed_dim=CSANN_MAX_DIM + 1).model == "naive"
-
-    def never(cfg):  # were the width let through, no model is built from it here
-        raise AssertionError("the config was accepted")
-
-    monkeypatch.setattr(cli, "_build_dataset", never)
+def test_csann_projections_checked_against_the_budget(tmp_path, toy_tsv, capsys):
+    # the table-and-projections check refuses the width once the vocabulary is known
     out = tmp_path / "out"
     code = main(["train", "--dataset", str(toy_tsv), "--set", "model=csann",
                  "--set", f"embed_dim={CSANN_MAX_DIM + 1}", "--out", str(out)])
@@ -309,7 +307,7 @@ def test_mistyped_settings_are_usage_errors(tmp_path, toy_tsv, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [None, "{not json"])
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]", "null"])
 def test_unreadable_config_is_a_usage_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
@@ -431,6 +429,33 @@ def test_sentence_length_checked_against_the_budget(tmp_path, toy_tsv, capsys, m
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert f"a {longest}-word sentence needs {need} bytes" in err
     assert not out.exists()
+
+
+def test_eval_and_attention_refuse_a_long_sentence_as_train_does(tmp_path, capsys, monkeypatch):
+    # a 2-layer run keeps 8 B more per word pair than a 1-layer one: with the budget at the
+    # 1-layer need of the longest sentence, all three commands refuse it alike
+    corpus = data.make_separable_corpus(seed=11, n_samples=19)
+    corpus.append((" ".join(corpus[0][0].split()[:1] * 40), corpus[0][1]))
+    tsv = tmp_path / "long.tsv"
+    data.write_tsv(corpus, tsv)
+    train = ["train", "--preset", "toy", "--dataset", str(tsv), "--set", "n_layers=2",
+             "--seeds", "0", "--epochs", "1", "--out"]
+    assert main(train + [str(tmp_path / "run")]) == 0
+    ckpt = str(tmp_path / "run" / "seed_0" / "checkpoint.json")
+    monkeypatch.setattr(model_mod, "ENGINE_MEMORY_BUDGET", (model_mod.PAIR_BYTES + 8) * 40**2)
+    csv_dir = tmp_path / "csv"
+    capsys.readouterr()
+    for argv in (train + [str(tmp_path / "again")], ["eval", "--checkpoint", ckpt],
+                 ["attention", "--checkpoint", ckpt, "--split", "train", "--indices", "0",
+                  "--out", str(csv_dir)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: a 40-word sentence needs {(model_mod.PAIR_BYTES + 16) * 40**2} bytes for "
+            f"its attention arrays, over the {(model_mod.PAIR_BYTES + 8) * 40**2}-byte budget\n"
+        )
+    assert not (tmp_path / "again").exists() and not csv_dir.exists()
 
 
 class TestCmdTrain:

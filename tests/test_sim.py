@@ -7,6 +7,7 @@ import pytest
 from qsann.errors import ConfigurationError
 from qsann.sim import (
     FIXED_KINDS,
+    MAX_QUBITS,
     PAULI_LETTERS,
     ROTATION_KINDS,
     DensityMatrix,
@@ -97,6 +98,10 @@ def random_circuit(rng, n_qubits, n_gates):
     return gates
 
 
+# counts outside [1, 16], and values that are not a builtin int
+BAD_QUBIT_COUNTS = [0, -1, 17, True, 1.0, np.int64(1)]
+
+
 class TestInitZeroState:
     def test_one_qubit(self):
         assert np.array_equal(init_zero_state(1).amplitudes, [1, 0])
@@ -104,7 +109,7 @@ class TestInitZeroState:
     def test_two_qubits(self):
         assert np.array_equal(init_zero_state(2).amplitudes, [1, 0, 0, 0])
 
-    @pytest.mark.parametrize("n", [0, -1, 17])
+    @pytest.mark.parametrize("n", BAD_QUBIT_COUNTS, ids=repr)
     def test_out_of_range(self, n):
         with pytest.raises(ConfigurationError):
             init_zero_state(n)
@@ -243,6 +248,14 @@ class TestStateValidation:
         with pytest.raises(ConfigurationError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("n", BAD_QUBIT_COUNTS, ids=repr)
+    @pytest.mark.parametrize("cls,entries",
+                             [(StateVector, [1, 0]), (DensityMatrix, np.eye(2) / 2)],
+                             ids=["state", "density"])
+    def test_qubit_count_refused(self, cls, entries, n):
+        with pytest.raises(ConfigurationError, match="n_qubits must be"):
+            cls(n, entries)
+
 
 class TestDensityMatrix:
     def test_invariants_enforced(self):
@@ -265,6 +278,12 @@ class TestDensityMatrix:
             expectation_dm(rho, PauliString.from_str("ZZ"))
         with pytest.raises(IndexError):
             PauliString.single("Z", 3, 2)
+
+    @pytest.mark.parametrize("qubit,n", [(0.0, 2), (True, 2), (np.int64(0), 2), (0, 2.0),
+                                         (0, 0), (0, MAX_QUBITS + 1)], ids=repr)
+    def test_single_refuses_a_non_int_or_a_count_out_of_range(self, qubit, n):
+        with pytest.raises(ConfigurationError):
+            PauliString.single("Z", qubit, n)
 
     def test_pure_density_agrees_with_statevector(self, rng):
         letters = ["I", "X", "Y", "Z"]
